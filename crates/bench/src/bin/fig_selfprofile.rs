@@ -36,6 +36,7 @@ use std::time::Instant;
 use dylect_bench::runner::{Job, Runner};
 use dylect_bench::{print_table, warmup_for, Mode, RunKey};
 use dylect_sim::{SchemeKind, System};
+use dylect_sim_core::env::or_usage_exit;
 use dylect_sim_core::probe::SpanRecord;
 use dylect_sim_core::prof;
 use dylect_telemetry::export::{chrome_trace_dual, prof_jsonl};
@@ -67,10 +68,7 @@ fn main() {
         std::process::exit(2);
     });
     let setting = CompressionSetting::High;
-    let span_sample = TelemetryConfig::span_sample_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let span_sample = or_usage_exit(TelemetryConfig::span_sample_from_env());
 
     // from_env() strict-parses DYLECT_PROF (exit 2 on garbage) and arms
     // the profiler before any job runs.

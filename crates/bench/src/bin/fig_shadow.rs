@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use dylect_bench::runner::{Job, Runner};
 use dylect_bench::{print_table, warmup_for, Mode, RunKey};
 use dylect_sim::{SchemeKind, System};
+use dylect_sim_core::env::or_usage_exit;
 use dylect_sim_core::probe::CteBlockKind;
 use dylect_telemetry::TelemetryConfig;
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
@@ -60,10 +61,7 @@ fn main() {
         std::process::exit(2);
     });
     let setting = CompressionSetting::High;
-    let span_sample = TelemetryConfig::span_sample_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let span_sample = or_usage_exit(TelemetryConfig::span_sample_from_env());
 
     let outputs: Arc<Mutex<BTreeMap<String, SchemeOutput>>> = Arc::default();
     let mut jobs = Vec::new();

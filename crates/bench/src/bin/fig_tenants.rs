@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use dylect_bench::runner::{Job, Runner};
 use dylect_bench::{print_table, Mode};
-use dylect_scenario::{parse_scenario, ScenarioOutcome, ScenarioSpec};
+use dylect_scenario::{scenario_from_env, ScenarioOutcome, ScenarioSpec};
 use dylect_sim::{SchemeKind, System, SystemConfig};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
@@ -49,14 +49,7 @@ fn main() {
             .cloned()
     };
     let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "results".to_owned()));
-    let scenario = match parse_scenario(std::env::var("DYLECT_SCENARIO").ok().as_deref()) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let scenario = scenario.unwrap_or_else(|| {
+    let scenario = scenario_from_env().unwrap_or_else(|| {
         let tenants = flag("--tenants").unwrap_or_else(|| "omnetpp,mcf".to_owned());
         ScenarioSpec::parse(&format!("tenants={tenants}")).unwrap_or_else(|e| {
             eprintln!("usage: --tenants: {e}");

@@ -63,15 +63,24 @@ impl Mode {
         }
     }
 
-    /// Reads the mode from the CLI (`--quick`) or `DYLECT_QUICK=1`.
+    /// Reads the mode from the CLI (`--quick`) or `DYLECT_QUICK=1`; a
+    /// malformed `DYLECT_QUICK` prints a usage message and exits with
+    /// status 2.
     pub fn from_env() -> Mode {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("DYLECT_QUICK").is_ok_and(|v| v != "0");
-        if quick {
+        let cli_quick = std::env::args().any(|a| a == "--quick");
+        let raw = std::env::var("DYLECT_QUICK").ok();
+        dylect_sim_core::env::or_usage_exit(Mode::select(cli_quick, raw.as_deref()))
+    }
+
+    /// The mode for a `--quick` flag and a raw `DYLECT_QUICK` value, which
+    /// is strict-parsed by [`dylect_sim_core::env::parse_flag`].
+    pub fn select(cli_quick: bool, raw_env: Option<&str>) -> Result<Mode, String> {
+        let env_quick = dylect_sim_core::env::parse_flag("DYLECT_QUICK", raw_env)?;
+        Ok(if cli_quick || env_quick {
             Mode::quick()
         } else {
             Mode::full()
-        }
+        })
     }
 }
 
@@ -196,6 +205,19 @@ mod tests {
         let f = Mode::full();
         assert!(q.scale > f.scale);
         assert!(q.warmup_ops < f.warmup_ops);
+    }
+
+    #[test]
+    fn quick_env_is_strict_parsed() {
+        assert_eq!(Mode::select(false, None), Ok(Mode::full()));
+        assert_eq!(Mode::select(false, Some("false")), Ok(Mode::full()));
+        assert_eq!(Mode::select(false, Some("0")), Ok(Mode::full()));
+        assert_eq!(Mode::select(false, Some("1")), Ok(Mode::quick()));
+        assert_eq!(Mode::select(true, Some("false")), Ok(Mode::quick()));
+        for bad in ["yes", "quick", "2"] {
+            let err = Mode::select(true, Some(bad)).expect_err(bad);
+            assert!(err.contains("DYLECT_QUICK"), "{err}");
+        }
     }
 
     #[test]

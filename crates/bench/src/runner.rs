@@ -32,6 +32,7 @@ use std::time::Instant;
 use dylect_cpu::PageSizeMode;
 use dylect_sim::{RunReport, SchemeKind, System, SystemConfig};
 use dylect_sim_core::digest::{self, DigestRecord};
+use dylect_sim_core::env::{self, or_usage_exit};
 use dylect_sim_core::{blackbox, prof};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
@@ -451,14 +452,7 @@ pub fn parse_jobs(raw: Option<&str>) -> Result<Option<usize>, String> {
 /// [`parse_jobs`] against the live environment; a malformed value prints a
 /// usage message and exits with status 2.
 pub fn jobs_from_env() -> Option<usize> {
-    let raw = std::env::var("DYLECT_JOBS").ok();
-    match parse_jobs(raw.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(parse_jobs(std::env::var("DYLECT_JOBS").ok().as_deref()))
 }
 
 /// Parses a `DYLECT_CHECKPOINT_DIR` value: unset is `Ok(None)` (warmup
@@ -483,13 +477,7 @@ pub fn parse_checkpoint_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String
 /// value prints a usage message and exits with status 2.
 pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
     let raw = std::env::var("DYLECT_CHECKPOINT_DIR").ok();
-    match parse_checkpoint_dir(raw.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(parse_checkpoint_dir(raw.as_deref()))
 }
 
 /// Reads the `warmup_secs=` sidecar written next to a checkpoint, so a
@@ -521,13 +509,14 @@ pub fn parse_progress_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String> 
 /// prints a usage message and exits with status 2.
 pub fn progress_dir_from_env() -> Option<PathBuf> {
     let raw = std::env::var("DYLECT_PROGRESS_DIR").ok();
-    match parse_progress_dir(raw.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(parse_progress_dir(raw.as_deref()))
+}
+
+/// Whether the runner skips cache reads: `--no-cache` on the command line,
+/// or a `DYLECT_NO_CACHE` value that is on under the strict grammar of
+/// [`dylect_sim_core::env::parse_flag`].
+pub fn parse_no_cache(cli_flag: bool, raw: Option<&str>) -> Result<bool, String> {
+    Ok(env::parse_flag("DYLECT_NO_CACHE", raw)? || cli_flag)
 }
 
 /// Lifecycle of one run as reflected in its progress marker. `Failed` is
@@ -610,20 +599,16 @@ impl Runner {
     /// - `DYLECT_PROGRESS_DIR=path` — live-progress markers for
     ///   `dylect-serve` (default `results/progress`).
     pub fn from_env() -> Runner {
-        if let Err(msg) = prof::init_from_env() {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-        if let Err(msg) = digest::init_from_env() {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
+        or_usage_exit(prof::init_from_env());
+        or_usage_exit(digest::init_from_env());
         // Any crash from here on leaves a flight-recorder dump behind.
         blackbox::install_panic_hook();
         let jobs = jobs_from_env()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let no_cache = std::env::args().any(|a| a == "--no-cache")
-            || std::env::var("DYLECT_NO_CACHE").is_ok_and(|v| v != "0");
+        let no_cache = or_usage_exit(parse_no_cache(
+            std::env::args().any(|a| a == "--no-cache"),
+            std::env::var("DYLECT_NO_CACHE").ok().as_deref(),
+        ));
         let cache_dir = std::env::var("DYLECT_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results/cache"));
@@ -844,6 +829,19 @@ mod tests {
         assert!(parse_jobs(Some("")).is_err());
         assert!(parse_jobs(Some("-2")).is_err());
         assert!(parse_jobs(Some("2.5")).is_err());
+    }
+
+    #[test]
+    fn no_cache_env_is_strict_parsed() {
+        assert_eq!(parse_no_cache(false, None), Ok(false));
+        assert_eq!(parse_no_cache(false, Some("false")), Ok(false));
+        assert_eq!(parse_no_cache(false, Some("0")), Ok(false));
+        assert_eq!(parse_no_cache(false, Some("true")), Ok(true));
+        assert_eq!(parse_no_cache(true, Some("false")), Ok(true));
+        for bad in ["yes", "no", "2"] {
+            let err = parse_no_cache(true, Some(bad)).expect_err(bad);
+            assert!(err.contains("DYLECT_NO_CACHE"), "{err}");
+        }
     }
 
     #[test]

@@ -252,23 +252,10 @@ impl Core {
         }
     }
 
-    /// Retires a whole batch of memory operations. Equivalent to calling
-    /// [`Core::step`] once per op, but the telemetry-enabled check is made
-    /// once per batch instead of once per op, and with a concrete backend
-    /// type the full hierarchy walk monomorphizes into one loop.
-    pub fn step_batch<B: MemoryBackend + ?Sized>(&mut self, ops: &[MemOp], backend: &mut B) {
-        if self.probe.is_enabled() {
-            for &op in ops {
-                self.step_inner::<true, B>(op, backend);
-            }
-        } else {
-            for &op in ops {
-                self.step_inner::<false, B>(op, backend);
-            }
-        }
-    }
-
-    /// [`Core::step_batch`] over a struct-of-arrays [`OpBatch`] arena.
+    /// Retires a whole batch of memory operations from a struct-of-arrays
+    /// [`OpBatch`] arena. Equivalent to calling [`Core::step`] once per
+    /// op, but the telemetry-enabled check is made once per batch instead
+    /// of once per op.
     pub fn step_soa<B: MemoryBackend + ?Sized>(&mut self, ops: &OpBatch, backend: &mut B) {
         if self.probe.is_enabled() {
             for op in ops.iter() {

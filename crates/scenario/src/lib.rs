@@ -31,7 +31,7 @@
 //! `stream:`); `pressure@<op>=<pages>` raises every MC's free target by
 //! `<pages>` for one reclamation burst. Event offsets count retired ops
 //! from the start of the *measurement window*, must be positive
-//! multiples of [`EVENT_ALIGN_OPS`] (the execute paths' drain-batch
+//! multiples of [`EVENT_ALIGN_OPS`] (the retirement loop's drain-batch
 //! size), and must be strictly increasing. Parsing is strict: garbage
 //! anywhere is an error, never a silent default.
 //!
@@ -46,10 +46,9 @@ use dylect_sim::{RunReport, SchemeKind, System, SystemConfig, TenantSummary};
 use dylect_sim_core::snap::SnapError;
 use dylect_workloads::{BenchmarkSpec, CompressionSetting, PhaseShift};
 
-/// Scenario event offsets must divide into the execute paths' drain
+/// Scenario event offsets must divide into the retirement loop's drain
 /// batches (mirrors `dylect_sim_core::digest::WINDOW_ALIGN_OPS`), so
-/// batched and per-op execution hit event boundaries at identical
-/// points.
+/// runs of any length hit event boundaries at identical points.
 pub const EVENT_ALIGN_OPS: u64 = 256;
 
 /// One scheduled scenario event.
@@ -512,13 +511,7 @@ pub fn parse_scenario(raw: Option<&str>) -> Result<Option<ScenarioSpec>, String>
 /// prints a usage message and exits with status 2.
 pub fn scenario_from_env() -> Option<ScenarioSpec> {
     let raw = std::env::var("DYLECT_SCENARIO").ok();
-    match parse_scenario(raw.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("usage: {msg}");
-            std::process::exit(2);
-        }
-    }
+    dylect_sim_core::env::or_usage_exit(parse_scenario(raw.as_deref()))
 }
 
 #[cfg(test)]

@@ -135,6 +135,9 @@ static SEQ: AtomicU64 = AtomicU64::new(1);
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
+/// Whether [`install_panic_hook`] has installed the dumping hook.
+static HOOK_INSTALLED: Mutex<bool> = Mutex::new(false);
+
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
@@ -300,17 +303,19 @@ pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
 /// delegating to the previous hook, so any panic — test assert, worker
 /// thread, proptest shrink — leaves a `.crash.jsonl` behind.
 pub fn install_panic_hook() {
-    static INSTALLED: OnceLock<()> = OnceLock::new();
-    INSTALLED.get_or_init(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            // Best-effort: a failing dump must never mask the panic.
-            if let Ok(path) = dump("panic") {
-                eprintln!("[blackbox] flight recorder dumped to {}", path.display());
-            }
-            previous(info);
-        }));
-    });
+    let mut installed = HOOK_INSTALLED.lock().unwrap_or_else(|e| e.into_inner());
+    if *installed {
+        return;
+    }
+    *installed = true;
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        // Best-effort: a failing dump must never mask the panic.
+        if let Ok(path) = dump("panic") {
+            eprintln!("[blackbox] flight recorder dumped to {}", path.display());
+        }
+        previous(info);
+    }));
 }
 
 #[cfg(test)]
@@ -325,11 +330,49 @@ mod tests {
         GATE.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("dylect-blackbox-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// Points the process-global dump state at a fresh temp directory for
+    /// one test and restores it on drop: label, directory and, if the
+    /// test installed it, the panic hook. Otherwise a later panic anywhere
+    /// in this test binary would dump into the crate directory.
+    struct DumpSandbox {
+        dir: PathBuf,
+        prev_dir: PathBuf,
+        prev_label: String,
+        prev_hook: bool,
+    }
+
+    impl DumpSandbox {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("dylect-blackbox-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let sandbox = DumpSandbox {
+                prev_dir: dump_dir_cell().lock().unwrap().clone(),
+                prev_label: label_cell().lock().unwrap().clone(),
+                prev_hook: *HOOK_INSTALLED.lock().unwrap(),
+                dir,
+            };
+            set_dump_dir(sandbox.dir.clone());
+            sandbox
+        }
+    }
+
+    impl Drop for DumpSandbox {
+        fn drop(&mut self) {
+            // A panicking thread may not touch the hook; the state then
+            // stays pointed at the sandbox, which is left on disk.
+            if std::thread::panicking() {
+                return;
+            }
+            let mut installed = HOOK_INSTALLED.lock().unwrap_or_else(|e| e.into_inner());
+            if *installed && !self.prev_hook {
+                drop(std::panic::take_hook());
+                *installed = false;
+            }
+            set_label(&self.prev_label);
+            set_dump_dir(self.prev_dir.clone());
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
     }
 
     #[test]
@@ -377,8 +420,7 @@ mod tests {
     fn dump_writes_a_header_and_every_event() {
         let _g = lock();
         reset();
-        let dir = temp_dir("dump");
-        set_dump_dir(dir.clone());
+        let _sandbox = DumpSandbox::new("dump");
         set_label("omnetpp/dylect/high");
         record(EventKind::DigestMismatch, 7, 28672);
         let path = dump("digest-mismatch window 7").unwrap();
@@ -396,8 +438,6 @@ mod tests {
             text.contains("\"kind\": \"digest_mismatch\", \"a\": 7, \"b\": 28672"),
             "{text}"
         );
-        set_dump_dir(PathBuf::from("results/blackbox"));
-        std::fs::remove_dir_all(&dir).ok();
         reset();
     }
 
@@ -407,8 +447,7 @@ mod tests {
     fn panic_hook_leaves_a_nonempty_crash_dump() {
         let _g = lock();
         reset();
-        let dir = temp_dir("panic");
-        set_dump_dir(dir.clone());
+        let sandbox = DumpSandbox::new("panic");
         set_label("panicking-harness");
         record(EventKind::BatchRetire, 256, 512);
         install_panic_hook();
@@ -416,13 +455,11 @@ mod tests {
             panic!("deliberate test panic");
         });
         assert!(result.is_err());
-        let path = dir.join("panicking-harness.crash.jsonl");
+        let path = sandbox.dir.join("panicking-harness.crash.jsonl");
         let text = std::fs::read_to_string(&path).expect("panic hook wrote a dump");
         assert!(!text.is_empty());
         assert!(text.contains("\"reason\": \"panic\""), "{text}");
         assert!(text.contains("\"kind\": \"batch_retire\""), "{text}");
-        set_dump_dir(PathBuf::from("results/blackbox"));
-        std::fs::remove_dir_all(&dir).ok();
         reset();
     }
 }

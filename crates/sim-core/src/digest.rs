@@ -40,8 +40,8 @@ use crate::snap::{SnapWriter, Snapshot};
 /// or [`crate::digest::set_window_ops`]).
 pub const DEFAULT_WINDOW_OPS: u64 = 1 << 20;
 
-/// Every window length must divide into the execute paths' 256-op drain
-/// batches, so batched and per-op execution cross window boundaries at
+/// Every window length must divide into the retirement loop's 256-op
+/// drain batches, so runs of any length cross window boundaries at
 /// identical points.
 pub const WINDOW_ALIGN_OPS: u64 = 256;
 

@@ -46,6 +46,7 @@ pub mod addr;
 pub mod blackbox;
 pub mod check;
 pub mod digest;
+pub mod env;
 pub mod kv;
 pub mod probe;
 pub mod prof;

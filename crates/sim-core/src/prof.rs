@@ -41,12 +41,11 @@ use std::time::Instant;
 /// into the global registries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HostPhase {
-    /// `System::execute` batched path: workload batch generation.
+    /// The `System` retirement loop: workload generation of one run
+    /// (`BATCH_OPS` ops on single-core runs, one op otherwise).
     BatchFill,
-    /// `System::execute` batched path: SoA core stepping.
+    /// The `System` retirement loop: SoA core stepping of one run.
     BatchStep,
-    /// `System::execute` per-op path (telemetry or multi-core), whole call.
-    ExecutePerOp,
     /// `SharedMemory::drain_pending`, whole call (all shards).
     DrainWriteback,
     /// Shared cache hierarchy and below (`MemoryBackend::access`), sampled.
@@ -72,7 +71,7 @@ pub enum HostPhase {
 }
 
 /// Number of phases; registries are `[_; NPHASES]` indexed by `idx()`.
-pub const NPHASES: usize = 14;
+pub const NPHASES: usize = 13;
 
 /// Sampling period for the per-event phases: one in `SAMPLE_PERIOD` events
 /// is timed; [`report`] multiplies the recorded sums back up.
@@ -83,7 +82,6 @@ impl HostPhase {
     pub const ALL: [HostPhase; NPHASES] = [
         HostPhase::BatchFill,
         HostPhase::BatchStep,
-        HostPhase::ExecutePerOp,
         HostPhase::DrainWriteback,
         HostPhase::MemAccess,
         HostPhase::SchemeAccess,
@@ -109,7 +107,6 @@ impl HostPhase {
         match self {
             HostPhase::BatchFill => "batch_fill",
             HostPhase::BatchStep => "batch_step",
-            HostPhase::ExecutePerOp => "execute_per_op",
             HostPhase::DrainWriteback => "drain_writeback",
             HostPhase::MemAccess => "mem_access",
             HostPhase::SchemeAccess => "scheme_access",
@@ -212,20 +209,9 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Strict `DYLECT_PROF` parser. Unset or empty means off; `0`/`false` off,
-/// `1`/`true` on; anything else is a usage error (same contract as
-/// `DYLECT_SHADOW`).
+/// Strict `DYLECT_PROF` parser ([`crate::env::parse_flag`]).
 pub fn parse_prof(raw: Option<&str>) -> Result<bool, String> {
-    match raw {
-        None => Ok(false),
-        Some(s) => match s.trim() {
-            "" | "0" | "false" => Ok(false),
-            "1" | "true" => Ok(true),
-            other => Err(format!(
-                "DYLECT_PROF must be unset, 0, 1, true, or false; got {other:?}"
-            )),
-        },
-    }
+    crate::env::parse_flag("DYLECT_PROF", raw)
 }
 
 /// Reads `DYLECT_PROF` without applying it.
@@ -308,8 +294,18 @@ pub fn sampled_scope(phase: HostPhase) -> Scope {
 }
 
 impl Drop for Scope {
+    /// Inlined so an inert scope costs one branch at its call site, not a
+    /// call into this crate.
+    #[inline]
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        if let Some(start) = self.start {
+            self.record(start);
+        }
+    }
+}
+
+impl Scope {
+    fn record(&self, start: Instant) {
         let ns = start.elapsed().as_nanos() as u64;
         let i = self.phase.idx();
         NS[i].fetch_add(ns, Ordering::Relaxed);

@@ -81,6 +81,7 @@ impl OpBatch {
     }
 
     /// Number of ops in the batch.
+    #[inline]
     pub fn len(&self) -> usize {
         self.vaddrs.len()
     }
@@ -91,6 +92,7 @@ impl OpBatch {
     }
 
     /// Empties the batch, keeping its allocations for reuse.
+    #[inline]
     pub fn clear(&mut self) {
         self.vaddrs.clear();
         self.works.clear();
@@ -123,17 +125,20 @@ impl OpBatch {
     }
 
     /// Iterates over the ops in order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = MemOp> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
     /// Total instructions represented by the batch (each op is itself one
     /// instruction plus its preceding non-memory work).
+    #[inline]
     pub fn total_instructions(&self) -> u64 {
         self.len() as u64 + self.works.iter().map(|&w| w as u64).sum::<u64>()
     }
 
     /// Number of stores in the batch.
+    #[inline]
     pub fn stores(&self) -> u64 {
         self.flags.iter().map(|&f| (f & 1) as u64).sum()
     }

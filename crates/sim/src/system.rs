@@ -69,8 +69,8 @@ pub struct System {
     /// Instructions retired before the last stats reset, so the telemetry
     /// x-axis stays monotonic across the warmup/measurement boundary.
     instr_base: u64,
-    /// Reusable struct-of-arrays arena for the batched run loop; cleared
-    /// and refilled each batch so steady-state execution never allocates.
+    /// Reusable struct-of-arrays arena for the retirement loop; cleared
+    /// and refilled each run so steady-state execution never allocates.
     batch: OpBatch,
     /// Ops retired while digest capture was enabled — the digest-window
     /// clock. Not advanced (zero cost) with `DYLECT_DIGEST` off.
@@ -89,9 +89,10 @@ pub struct System {
     perturb_fired: bool,
 }
 
-/// Ops generated and retired per batch on the fast path. Large enough to
-/// amortise the loop setup, small enough that the three parallel arrays
-/// (11 bytes/op) stay resident in L1.
+/// Ops retired between writeback drains, and the longest run the
+/// retirement loop generates at once. Large enough to amortise the loop
+/// setup, small enough that the three parallel arrays (11 bytes/op) stay
+/// resident in L1.
 const BATCH_OPS: u64 = 256;
 
 impl System {
@@ -459,56 +460,42 @@ impl System {
     }
 
     /// Executes `ops` memory operations across the cores, always stepping
-    /// the core that is furthest behind in simulated time.
-    ///
-    /// With one core and telemetry off, ops are generated and retired in
-    /// [`BATCH_OPS`]-sized batches through a reusable struct-of-arrays
-    /// arena: the telemetry/probe checks hoist to once per batch and the
-    /// per-op loop stays branch-free. The batched path retires the exact
-    /// same op stream in the same order as the per-op path, so reports are
-    /// byte-identical either way.
+    /// the core that is furthest behind in simulated time (see
+    /// [`System::retire`]).
     pub fn execute(&mut self, ops: u64) {
+        self.retire(ops, false);
+    }
+
+    /// The one retirement loop behind [`System::execute`] and
+    /// [`System::execute_op_digests`]. Each iteration picks the core
+    /// furthest behind (first index on ties), generates a run of `n` ops
+    /// for it, and retires them. Every [`BATCH_OPS`] retired ops (and at
+    /// the end of the call) queued writebacks drain and the digest clock
+    /// ticks; telemetry advances its ops clock and samples epochs per op;
+    /// `op_replay` captures a digest after every op.
+    ///
+    /// Runs are longer than one op only with a single core, telemetry off
+    /// and no replay: telemetry probes read the ops clock mid-step, replay
+    /// observes every op, and filling a run per core ahead of time would
+    /// generate ops past the end of the call. Every run length retires the
+    /// same op stream with the same drain cadence, so reports are
+    /// byte-identical.
+    fn retire(&mut self, ops: u64, op_replay: bool) {
         if self.cores.is_empty() {
             // Nothing to run; `finish` reports an explicit empty run.
             return;
         }
-        if self.cores.len() == 1 && self.telemetry.is_none() {
-            let mut batch = std::mem::take(&mut self.batch);
-            let mut remaining = ops;
-            while remaining > 0 {
-                let n = remaining.min(BATCH_OPS);
-                // Sampled, not exact: these fire once per BATCH_OPS chunk,
-                // which is frequent enough that exact span retention alone
-                // would breach the <2% profiling budget.
-                {
-                    let _p = prof::sampled_scope(prof::HostPhase::BatchFill);
-                    self.workloads[0].fill_batch(&mut batch, n as usize);
-                }
-                {
-                    let _p = prof::sampled_scope(prof::HostPhase::BatchStep);
-                    self.cores[0].step_soa(&batch, &mut self.shared);
-                }
-                self.shared.drain_pending();
-                blackbox::record(blackbox::EventKind::BatchRetire, n, remaining - n);
-                self.digest_tick(n);
-                remaining -= n;
-            }
-            self.batch = batch;
-            return;
-        }
-        // Host-profiling scope only: reads the wall clock, never writes
-        // simulated state.
-        let _p = prof::scope(prof::HostPhase::ExecutePerOp);
+        let batched = self.cores.len() == 1 && self.telemetry.is_none() && !op_replay;
         // 0 when telemetry is off: the epoch check below stays one
-        // predictable branch per op.
+        // predictable branch per run.
         let epoch_ops = self
             .telemetry
             .as_ref()
             .map_or(0, |t| t.config().epoch_ops.max(1));
-        // The per-op path lands queued MC writebacks on the same cadence
-        // as the batched path, so the two retire identical streams.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut remaining = ops;
         let mut ops_since_drain = 0u64;
-        for _ in 0..ops {
+        while remaining > 0 {
             let idx = self
                 .cores
                 .iter()
@@ -516,14 +503,32 @@ impl System {
                 .min_by_key(|(_, c)| c.time())
                 .map(|(i, _)| i)
                 .expect("at least one core");
-            let op = self.workloads[idx].next_op();
-            self.cores[idx].step(op, &mut self.shared);
-            ops_since_drain += 1;
-            if ops_since_drain >= BATCH_OPS {
+            let n = if batched {
+                remaining.min(BATCH_OPS - ops_since_drain)
+            } else {
+                1
+            };
+            // Sampled, not exact: on multi-core runs these fire once per
+            // op, far too often for exact span retention.
+            {
+                let _p = prof::sampled_scope(prof::HostPhase::BatchFill);
+                self.workloads[idx].fill_batch(&mut batch, n as usize);
+            }
+            {
+                let _p = prof::sampled_scope(prof::HostPhase::BatchStep);
+                self.cores[idx].step_soa(&batch, &mut self.shared);
+            }
+            remaining -= n;
+            ops_since_drain += n;
+            if ops_since_drain == BATCH_OPS {
                 ops_since_drain = 0;
-                self.shared.drain_pending();
-                blackbox::record(blackbox::EventKind::BatchRetire, BATCH_OPS, 0);
-                self.digest_tick(BATCH_OPS);
+                self.close_batch(BATCH_OPS, remaining, op_replay);
+            }
+            if op_replay {
+                self.digest_ops += 1;
+                let n = self.digest_ops;
+                self.maybe_perturb(n);
+                self.capture_digest(n / self.digest_window, Some(n), n);
             }
             if epoch_ops > 0 {
                 if let Some(clock) = &self.ops_clock {
@@ -539,24 +544,33 @@ impl System {
                 }
             }
         }
+        self.close_batch(ops_since_drain, 0, op_replay);
+        self.batch = batch;
+    }
+
+    /// Lands queued MC writebacks and accounts `n` ops retired since the
+    /// previous drain: a flight-recorder event and, outside op replay
+    /// (which advances the digest clock per op), a digest tick.
+    fn close_batch(&mut self, n: u64, remaining: u64, op_replay: bool) {
         self.shared.drain_pending();
-        self.digest_tick(ops_since_drain);
+        if n == 0 {
+            return;
+        }
+        blackbox::record(blackbox::EventKind::BatchRetire, n, remaining);
+        if !op_replay {
+            self.digest_tick(n);
+        }
     }
 
     /// Advances the digest-window clock by `n` just-retired ops. Called at
-    /// every drain boundary (each ≤ [`BATCH_OPS`] ops) on both execute
-    /// paths, so batched and per-op runs cross window boundaries at
-    /// identical points. With `DYLECT_DIGEST` off the entire cost is the
-    /// one relaxed load in [`digest::enabled`].
-    #[inline]
+    /// every drain boundary (each ≤ [`BATCH_OPS`] ops) of the retirement
+    /// loop, so runs of any length cross window boundaries at identical
+    /// points. With `DYLECT_DIGEST` off the entire cost is the one relaxed
+    /// load in [`digest::enabled`].
     fn digest_tick(&mut self, n: u64) {
-        if n == 0 || !digest::enabled() {
+        if !digest::enabled() {
             return;
         }
-        self.digest_tick_slow(n);
-    }
-
-    fn digest_tick_slow(&mut self, n: u64) {
         let before = self.digest_ops;
         self.digest_ops += n;
         self.maybe_perturb(self.digest_ops);
@@ -569,8 +583,9 @@ impl System {
     /// Overrides this system's digest window length (ops between window-
     /// boundary captures). Normally inherited from [`digest::window_ops`]
     /// at construction; bisection harnesses and tests shrink it for
-    /// resolution. Must be a positive multiple of [`BATCH_OPS`] so both
-    /// execute paths cross boundaries at identical points.
+    /// resolution. Must be a positive multiple of [`BATCH_OPS`] so window
+    /// boundaries fall on drain boundaries, where the retirement loop
+    /// ticks the digest clock whatever its run length.
     pub fn set_digest_window(&mut self, ops: u64) {
         assert!(
             ops > 0 && ops.is_multiple_of(BATCH_OPS),
@@ -581,9 +596,9 @@ impl System {
 
     /// Fires the test-only `DYLECT_DIGEST_PERTURB` divergence injector
     /// once this system's digest clock reaches the armed op index. Drain
-    /// boundaries are the firing sites, so a perturbation index that is a
-    /// multiple of [`BATCH_OPS`] fires at the same retired-op count on
-    /// the batched, per-op, and op-replay paths.
+    /// boundaries are the firing sites in [`System::execute`] and every op
+    /// is one in op replay, so a perturbation index that is a multiple of
+    /// [`BATCH_OPS`] fires at the same retired-op count either way.
     fn maybe_perturb(&mut self, ops_retired: u64) {
         if self.perturb_fired {
             return;
@@ -651,40 +666,18 @@ impl System {
         self.perturb_fired = false;
     }
 
-    /// Executes `ops` memory operations per-op, capturing a full
+    /// Executes `ops` memory operations one at a time, capturing a full
     /// [`DigestRecord`] after **every** retired op — the bisection
     /// replay mode. `base_op` is the absolute retired-op count this call
     /// starts from (normally a window boundary the caller restored to),
     /// so record indices line up with the window stream of the original
-    /// run. Retires the identical op stream as [`System::execute`]
-    /// (same drain cadence, same perturbation sites). Orders of magnitude
-    /// slower than `execute`; meant for replaying a single diverging
-    /// window, not full runs. Telemetry epoch sampling is not driven —
-    /// replay systems are built without telemetry.
+    /// run. The same retirement loop as [`System::execute`], so the op
+    /// stream, drain cadence and perturbation sites are identical. Orders
+    /// of magnitude slower than `execute`; meant for replaying a single
+    /// diverging window, not full runs.
     pub fn execute_op_digests(&mut self, ops: u64, base_op: u64) {
         self.digest_ops = base_op;
-        let mut ops_since_drain = 0u64;
-        for i in 0..ops {
-            let idx = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.time())
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            let op = self.workloads[idx].next_op();
-            self.cores[idx].step(op, &mut self.shared);
-            ops_since_drain += 1;
-            if ops_since_drain >= BATCH_OPS {
-                ops_since_drain = 0;
-                self.shared.drain_pending();
-            }
-            let n = base_op + i + 1;
-            self.digest_ops = n;
-            self.maybe_perturb(n);
-            self.capture_digest(n / self.digest_window, Some(n), n);
-        }
-        self.shared.drain_pending();
+        self.retire(ops, true);
     }
 
     /// Sets the worker-thread count for intra-run sharding: with more than
@@ -1556,6 +1549,46 @@ mod tests {
         for (a, b) in base.iter().zip(&hurt).skip(6_400) {
             assert!(digest::first_difference(a, b).is_some());
         }
+    }
+
+    #[test]
+    fn op_replay_matches_execute_windows_on_multi_core() {
+        // Bisection trusts that replaying a window op by op reaches the
+        // exact state `execute` reached at each window boundary, also
+        // when min-time scheduling interleaves several cores.
+        const W: u64 = 512;
+        const K: u64 = 3;
+        let _g = digest_gate();
+        digest::set_enabled(true);
+        let build = || {
+            let mut cfg =
+                SystemConfig::quick(&spec(), SchemeKind::dylect(), CompressionSetting::High);
+            cfg.cores = 2;
+            cfg.memory_controllers = 2;
+            let mut sys = System::new(cfg, &spec());
+            sys.set_digest_window(W);
+            sys
+        };
+        let mut replayed = build();
+        replayed.execute_op_digests(K * W, 0);
+        let per_op = replayed.take_digests();
+        let mut executed = build();
+        executed.execute(K * W);
+        let windows = executed.take_digests();
+        digest::set_enabled(false);
+
+        assert_eq!(per_op.len() as u64, K * W);
+        assert_eq!(windows.len() as u64, K, "one record per window");
+        for (j, w) in (1..).zip(&windows) {
+            let r = &per_op[(j * W - 1) as usize];
+            assert_eq!((r.window, r.op, r.ops_retired), (j, Some(j * W), j * W));
+            assert_eq!((w.window, w.ops_retired), (j, j * W));
+            assert_eq!(r.components(), w.components(), "window {j}");
+        }
+        assert_eq!(
+            replayed.finish().to_cache_text(),
+            executed.finish().to_cache_text()
+        );
     }
 }
 

@@ -137,17 +137,10 @@ impl TelemetryConfig {
         Self::parse_span_sample(std::env::var("DYLECT_SPAN_SAMPLE").ok().as_deref())
     }
 
-    /// Parses a `DYLECT_SHADOW` value: `1`/`true` enable, `0`/`false`
-    /// disable, unset/empty disable; anything else is an error.
+    /// Parses a `DYLECT_SHADOW` value with the strict boolean grammar of
+    /// [`dylect_sim_core::env::parse_flag`].
     pub fn parse_shadow(raw: Option<&str>) -> Result<bool, String> {
-        let Some(raw) = raw else { return Ok(false) };
-        match raw.trim() {
-            "" | "0" | "false" => Ok(false),
-            "1" | "true" => Ok(true),
-            other => Err(format!(
-                "DYLECT_SHADOW must be one of 1/true/0/false, got {other:?}"
-            )),
-        }
+        dylect_sim_core::env::parse_flag("DYLECT_SHADOW", raw)
     }
 
     /// The shadow-probe toggle from the `DYLECT_SHADOW` environment

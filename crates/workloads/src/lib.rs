@@ -439,6 +439,7 @@ impl SyntheticWorkload {
     /// Clears `batch` and generates the next `n` operations into it. The
     /// batched run loop's generation phase: the arena's allocations are
     /// reused, so this never allocates in steady state.
+    #[inline]
     pub fn fill_batch(&mut self, batch: &mut OpBatch, n: usize) {
         batch.clear();
         for _ in 0..n {

@@ -11,6 +11,15 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== hermetic tests: the suite leaves a clean checkout clean"
+# Tests write only under temp dirs; on a clean checkout, a modified or
+# new file here means a test leaked an artifact into the tree.
+if [ -n "$(git status --porcelain)" ]; then
+    echo "hermetic tests: the working tree is not clean after cargo test"
+    git status --porcelain
+    exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -126,7 +135,7 @@ done
 cargo run -q --offline --release -p dylect-telemetry --bin dylect-stats -- \
     summary "$SMOKE/sp-a/selfprofile.prof.jsonl" > "$SMOKE/sp-summary.out" \
     || { echo "selfprofile smoke: prof summary failed"; exit 1; }
-grep -q "^execute_per_op " "$SMOKE/sp-summary.out" \
+grep -q "^batch_step " "$SMOKE/sp-summary.out" \
     || { echo "selfprofile smoke: prof summary did not render phases"; exit 1; }
 echo "selfprofile smoke: OK"
 
