@@ -152,8 +152,7 @@ fn bench_end_to_end() {
     });
 
     // Same workload with shadow CTE caches + provenance attached, so the
-    // observation overhead is a one-line diff against the baseline above
-    // (tools/bench_snapshot.sh records both in BENCH_shadow.json).
+    // observation overhead is a one-line diff against the baseline above.
     let cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
     let mut sys = System::new(cfg, &spec);
     sys.enable_telemetry(dylect_telemetry::TelemetryConfig {
@@ -166,29 +165,20 @@ fn bench_end_to_end() {
         black_box(&sys);
     });
 
-    // Intra-run sharding variants: the same workload split across two
-    // memory controllers, draining their writeback queues sequentially vs
-    // on two worker threads. Reports are byte-identical across the pair
-    // (tests/determinism.rs pins it); only wall-clock may differ.
-    for (name, jobs) in [
-        ("system_step_1000_2mc_seq", 1),
-        ("system_step_1000_2mc_jobs2", 2),
-    ] {
-        let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
-        cfg.memory_controllers = 2;
-        let mut sys = System::new(cfg, &spec);
-        sys.set_jobs(jobs);
-        sys.run(50_000, 1);
-        bench(name, 50, || {
-            sys.execute(1000);
-            black_box(&sys);
-        });
-    }
+    // The same workload split across two memory controllers: dirty L3
+    // victims queue per MC and drain every `BATCH_OPS` ops.
+    let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
+    cfg.memory_controllers = 2;
+    let mut sys = System::new(cfg, &spec);
+    sys.run(50_000, 1);
+    bench("system_step_1000_2mc", 50, || {
+        sys.execute(1000);
+        black_box(&sys);
+    });
 
     // Two-tenant co-schedule: one ASID-tagged core per tenant driving the
     // same memory side. The delta against `system_step_1000_ops` is the
-    // cost of multi-core scheduling plus the second trace generator
-    // (tools/bench_snapshot.sh records it in BENCH_scenario.json).
+    // cost of multi-core scheduling plus the second trace generator.
     let scenario =
         dylect_scenario::ScenarioSpec::parse("tenants=omnetpp,canneal").expect("valid spec");
     let base = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
@@ -203,7 +193,7 @@ fn bench_end_to_end() {
     // Checkpoint restore cost: snapshot the warmed system once, then each
     // iteration rewinds to that snapshot and advances the same 1000 ops.
     // The delta against `system_step_1000_ops` is the per-resume restore
-    // overhead (tools/bench_snapshot.sh records it in BENCH_checkpoint.json).
+    // overhead.
     let cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
     let mut sys = System::new(cfg, &spec);
     let snap = sys.warm_up_and_snapshot(50_000);
@@ -219,10 +209,8 @@ fn bench_end_to_end() {
 /// armed, measured as *interleaved* prof-off / prof-on batch pairs so slow
 /// clock-speed drift cancels out of the overhead estimate. The paired
 /// overhead (median over per-pair deltas) is printed as a
-/// `prof_overhead_pct` line and budgeted at <2% by the
-/// `dylect-stats bench-diff --max-overhead-pct` gate; the accumulated
-/// phase table follows as `prof_phase` lines so tools/bench_snapshot.sh
-/// can snapshot the wall-clock breakdown (BENCH_selfprofile.json).
+/// `prof_overhead_pct` line (budget: <2%); the accumulated phase table
+/// follows as `prof_phase` lines.
 fn bench_prof_overhead() {
     // Mirror bench()'s filter so an excluded run leaves the global
     // profiler untouched and prints no prof_phase lines.
@@ -316,9 +304,7 @@ fn bench_prof_overhead() {
 /// delta therefore includes its amortized share of a full-state capture,
 /// and the median measures the real steady-state cost a
 /// `DYLECT_DIGEST=1` sweep pays rather than just the per-batch tick.
-/// Printed as a `digest_overhead_pct` line, recorded by
-/// tools/bench_snapshot.sh in BENCH_digest.json, and budgeted at <2% by
-/// the `dylect-stats bench-diff --max-overhead-pct` gate.
+/// Printed as a `digest_overhead_pct` line (budget: <2%).
 fn bench_digest_overhead() {
     if let Some(filter) = std::env::args().nth(1) {
         if !filter.starts_with('-') && !"system_step_1000_digest".contains(&filter) {

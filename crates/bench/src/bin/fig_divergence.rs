@@ -1,37 +1,28 @@
-//! Digest-stability matrix and first-divergence bisection demo.
+//! First-divergence bisection demo.
 //!
-//! Default mode: runs the shared three-scheme matrix (2 memory
-//! controllers) with state-digest capture forced on, once with 1 drain
-//! worker and once with 3 (`System::set_jobs`), and renders whether every
-//! per-window digest stream is byte-stable across worker counts — the
-//! observability counterpart of the determinism suite. Streams land under
-//! `--out DIR` (default `results/divergence`) as
-//! `<benchmark>-<scheme>-j<n>.digest.jsonl`.
-//!
-//! `--bisect` instead demonstrates (and lets `tools/verify.sh` assert)
-//! the full localization pipeline on a known fault: a base run and a run
-//! with a single spurious L3-miss count injected at op
-//! [`PERTURB_AT`] are compared window-by-window to find the first
-//! diverging window and component, then re-executed with op-level digests
-//! over that window to name the exact first diverging operation. On a
+//! Demonstrates (and lets `tools/verify.sh` assert) the full state-digest
+//! localization pipeline on a known fault: a base run and a run with a
+//! single spurious L3-miss count injected at op [`PERTURB_AT`] are
+//! compared window-by-window to find the first diverging window and
+//! component, then re-executed with op-level digests over that window to
+//! name the exact first diverging operation. Streams land under
+//! `--out DIR` (default `results/divergence`) as `bisect-*.jsonl`. On a
 //! divergence the always-on flight recorder dumps its ring to
 //! `results/blackbox/` for post-mortem context.
 //!
 //! Digest capture is process-global and the streams are the artifact, so
-//! these jobs bypass the report cache like `fig_selfprofile`.
+//! these runs bypass the runner and its report cache.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
-use dylect_bench::runner::{Job, Runner};
-use dylect_bench::{print_table, warmup_for, Mode, RunKey};
+use dylect_bench::{Mode, RunKey};
 use dylect_sim::{SchemeKind, System};
 use dylect_sim_core::blackbox;
 use dylect_sim_core::digest::{self, first_difference, DigestRecord};
+use dylect_sim_core::env::or_usage_exit;
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
-/// Retired-op index where `--bisect` injects its one-bit fault. A
+/// Retired-op index where the demo injects its one-bit fault. A
 /// multiple of the 256-op drain batch, so the batched, per-op, and replay
 /// paths all fire it at the same op count; sits inside window 2, so
 /// window 1 pins the agreement prefix.
@@ -41,9 +32,6 @@ const PERTURB_AT: u64 = 6_400;
 /// more than throughput here, so every system shrinks its window from
 /// the coarse production default (`digest::DEFAULT_WINDOW_OPS`).
 const FIG_WINDOW: u64 = 4_096;
-
-/// Drain-worker counts the stability matrix compares.
-const JOBS: [usize; 2] = [1, 3];
 
 fn write_stream(path: &Path, records: &[DigestRecord]) {
     let mut body = String::new();
@@ -151,110 +139,15 @@ fn main() {
         eprintln!("unknown benchmark {bench}");
         std::process::exit(2);
     });
-    let setting = CompressionSetting::High;
 
-    // from_env() strict-parses DYLECT_DIGEST and installs the panic hook;
-    // this binary then forces capture on — the digest streams *are* its
-    // output.
-    let runner = Runner::from_env();
+    // Strict-parse DYLECT_DIGEST (garbage exits 2), then force capture on:
+    // the digest streams *are* this binary's output.
+    or_usage_exit(digest::init_from_env());
     digest::set_enabled(true);
+    // Any crash from here on leaves a flight-recorder dump behind.
+    blackbox::install_panic_hook();
     blackbox::set_label(&format!("fig_divergence-{bench}"));
 
-    if args.iter().any(|a| a == "--bisect") {
-        let key = RunKey::new(spec, SchemeKind::dylect(), setting, mode);
-        std::process::exit(bisect(&key, &out_dir) as i32);
-    }
-
-    // Stability matrix: per-window digests must be byte-identical across
-    // drain-worker counts for every scheme.
-    type StreamsByJob = BTreeMap<(String, usize), Vec<DigestRecord>>;
-    let outputs: Arc<Mutex<StreamsByJob>> = Arc::default();
-    let mut jobs = Vec::new();
-    for scheme in [
-        SchemeKind::tmcc(),
-        SchemeKind::NaiveDynamic,
-        SchemeKind::dylect(),
-    ] {
-        for n_jobs in JOBS {
-            let key = RunKey::new(spec.clone(), scheme.clone(), setting, mode).with_mcs(2);
-            let label = key.scheme.label();
-            let outputs = outputs.clone();
-            jobs.push(Job {
-                label: format!("{}/{label}/digest-j{n_jobs}", spec.name),
-                // A cache hit skips execution and would record no digests.
-                cache_name: None,
-                work: Box::new(move || {
-                    let warmup = warmup_for(&key.spec, key.mode);
-                    let mut sys = System::new(key.config(), &key.spec);
-                    sys.set_digest_window(FIG_WINDOW);
-                    sys.set_jobs(n_jobs);
-                    let report = sys.run(warmup, key.mode.measure_ops);
-                    outputs
-                        .lock()
-                        .unwrap()
-                        .insert((label.clone(), n_jobs), sys.take_digests());
-                    report
-                }),
-            });
-        }
-    }
-    runner.run_jobs(jobs);
-
-    let outputs = outputs.lock().unwrap();
-    let mut rows = Vec::new();
-    let mut unstable = 0usize;
-    for scheme in ["tmcc", "naive", "dylect"] {
-        // Scheme labels come from SchemeKind::label(); look them up loosely
-        // so a label tweak fails visibly rather than silently skipping.
-        let of_jobs = |n: usize| {
-            outputs
-                .iter()
-                .find(|((l, j), _)| l.contains(scheme) && *j == n)
-                .map(|(_, v)| v)
-        };
-        let (Some(a), Some(b)) = (of_jobs(JOBS[0]), of_jobs(JOBS[1])) else {
-            eprintln!("[fig_divergence] missing output for scheme {scheme}");
-            unstable += 1;
-            continue;
-        };
-        for (n, stream) in [(JOBS[0], a), (JOBS[1], b)] {
-            write_stream(
-                &out_dir.join(format!("{}-{scheme}-j{n}.digest.jsonl", spec.name)),
-                stream,
-            );
-        }
-        let verdict = if a.len() != b.len() {
-            unstable += 1;
-            format!("UNSTABLE (window counts {} vs {})", a.len(), b.len())
-        } else {
-            match first_divergence(a, b) {
-                None => "stable".to_owned(),
-                Some((i, comp)) => {
-                    unstable += 1;
-                    blackbox::record(blackbox::EventKind::DigestMismatch, a[i].window, 0);
-                    let _ = blackbox::dump("digest-mismatch");
-                    format!("UNSTABLE at window {} ({comp})", a[i].window)
-                }
-            }
-        };
-        rows.push(vec![scheme.to_owned(), a.len().to_string(), verdict]);
-    }
-    print_table(
-        &format!(
-            "Digest stability across drain workers {{{},{}}} ({}, high compression, 2 MCs)",
-            JOBS[0], JOBS[1], spec.name
-        ),
-        &["scheme", "windows", "j1 vs j3"],
-        &rows,
-    );
-    if unstable == 0 {
-        println!(
-            "digest stability: {}/{} schemes stable",
-            rows.len(),
-            rows.len()
-        );
-    } else {
-        println!("digest stability: {unstable} scheme(s) UNSTABLE");
-        std::process::exit(1);
-    }
+    let key = RunKey::new(spec, SchemeKind::dylect(), CompressionSetting::High, mode);
+    std::process::exit(bisect(&key, &out_dir) as i32);
 }

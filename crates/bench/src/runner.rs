@@ -217,12 +217,6 @@ impl RunKey {
         if let Ok(Some(at)) = digest::perturb_from_env() {
             sys.arm_perturb(Some(at));
         }
-        // DYLECT_JOBS also shards within the run: multi-MC configurations
-        // drain independent controllers on worker threads. Reports are
-        // byte-identical for every worker count.
-        if let Some(jobs) = jobs_from_env() {
-            sys.set_jobs(jobs);
-        }
         let Some(dir) = checkpoint_dir_from_env() else {
             let report = sys.run(warmup, self.mode.measure_ops);
             return (report, sys.take_digests());
@@ -267,9 +261,6 @@ impl RunKey {
                     sys = System::new(self.config(), &self.spec);
                     if let Ok(Some(at)) = digest::perturb_from_env() {
                         sys.arm_perturb(Some(at));
-                    }
-                    if let Some(jobs) = jobs_from_env() {
-                        sys.set_jobs(jobs);
                     }
                 }
             }

@@ -735,18 +735,17 @@ mod tests {
             ScenarioSpec::parse("tenants=omnetpp,canneal;phase@1024=theta:0.2;pressure@2048=128")
                 .expect("valid");
         let cfg = quick_config(&spec);
-        let digests = |jobs: usize| {
+        let digests = || {
             let mut sys = spec.build_system(cfg.clone());
             sys.set_digest_window(1024);
-            sys.set_jobs(jobs);
             let outcome = spec.run(&mut sys, 2_000, 5_000);
             (outcome, sys.take_digests())
         };
-        let (o1, d1) = digests(1);
-        let (o3, d3) = digests(3);
+        let (o1, d1) = digests();
+        let (o2, d2) = digests();
         dylect_sim_core::digest::set_enabled(false);
-        assert_eq!(o1, o3, "worker count must not change a scenario run");
+        assert_eq!(o1, o2, "a repeated scenario run must not change");
         assert!(!d1.is_empty(), "windows were captured");
-        assert_eq!(d1, d3, "digest streams must agree across DYLECT_JOBS");
+        assert_eq!(d1, d2, "digest streams must agree across repeated runs");
     }
 }

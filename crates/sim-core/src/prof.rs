@@ -16,8 +16,8 @@
 //! Design constraints (DESIGN.md, "Dual-clock self-profiling"):
 //!
 //! - **Zero cost when off.** Every instrumentation site is gated on a
-//!   single relaxed atomic load, so `system_step_1000_ops` stays within
-//!   noise of BENCH_batched.json with `DYLECT_PROF` unset.
+//!   single relaxed atomic load, so `system_step_1000_ops` runs at the
+//!   same speed as an uninstrumented build with `DYLECT_PROF` unset.
 //! - **<2% overhead when on.** At ~70 ns/op there is no budget for an
 //!   `Instant::now()` pair per retired op. The hot path is therefore timed
 //!   at batch granularity (exact scopes, a few per 256-op batch) and the
@@ -25,8 +25,8 @@
 //!   are period-sampled ([`SAMPLE_PERIOD`]); [`report`] scales the sampled
 //!   sums back up into estimates.
 //! - **Mergeable across threads.** Accumulators are global atomics, so
-//!   drain-shard workers and runner workers record into the same registry
-//!   with no per-thread state to reconcile at the end.
+//!   the writeback drain and the runner's workers record into the same
+//!   registry with no per-thread state to reconcile at the end.
 //!
 //! Phases form a hierarchy, not a partition: `mem_access` covers the whole
 //! shared cache hierarchy and everything below it, so `scheme_access` and
@@ -46,7 +46,7 @@ pub enum HostPhase {
     BatchFill,
     /// The `System` retirement loop: SoA core stepping of one run.
     BatchStep,
-    /// `SharedMemory::drain_pending`, whole call (all shards).
+    /// `SharedMemory::drain_pending`, whole call (every MC's queue).
     DrainWriteback,
     /// Shared cache hierarchy and below (`MemoryBackend::access`), sampled.
     MemAccess,
@@ -136,11 +136,11 @@ impl HostPhase {
     }
 }
 
-/// Worker pools whose per-worker busy time is tracked, so `DYLECT_JOBS`
-/// utilization is visible.
+/// Worker pools whose per-worker busy time is tracked, so runner
+/// (`DYLECT_JOBS`) utilization and drain busy time are visible.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WorkerKind {
-    /// Sharded writeback-drain workers (`SharedMemory::drain_pending`).
+    /// The writeback drain (`SharedMemory::drain_pending`), always worker 0.
     Drain,
     /// Runner job-pool workers (`Runner::run_jobs`).
     Runner,

@@ -680,14 +680,6 @@ impl System {
         self.retire(ops, true);
     }
 
-    /// Sets the worker-thread count for intra-run sharding: with more than
-    /// one memory controller, queued writebacks drain on up to `jobs`
-    /// threads at batch boundaries (see [`SharedMemory::drain_pending`]).
-    /// Reports and exports are byte-identical for every value.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.shared.set_jobs(jobs);
-    }
-
     /// Ends the warmup phase: clears every statistic and marks the start of
     /// the measurement window.
     pub fn start_measurement(&mut self) {
@@ -814,7 +806,7 @@ impl System {
     ///
     /// Call at a quiescent boundary (between [`System::execute`] windows;
     /// `execute` always drains in-flight MC writebacks before returning).
-    /// Execution knobs — warmup mode, worker count, probe installation —
+    /// Execution knobs — warmup mode, probe installation —
     /// are orchestration state: the restoring caller re-establishes them
     /// exactly as it would for a fresh run, then overlays this snapshot.
     /// `restore(snapshot_at(n))` followed by `execute(k)` is byte-identical

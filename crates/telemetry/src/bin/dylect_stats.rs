@@ -471,7 +471,6 @@ const USAGE: &str = "usage:
   dylect-stats summary <file>
   dylect-stats diff <a> <b> [--abs-tol X] [--rel-tol Y]
   dylect-stats bisect <a.digest.jsonl> <b.digest.jsonl>
-  dylect-stats bench-diff <BENCH.json>... [--gate-rel X] [--max-overhead-pct Y]
 
 diff exit codes: 0 identical within tolerance, 1 metric out of tolerance,
 2 usage/IO error, 3 only missing metrics/rows
@@ -479,12 +478,7 @@ diff exit codes: 0 identical within tolerance, 1 metric out of tolerance,
 bisect compares two state-digest streams (window-level `.digest.jsonl` or
 op-level `.opdigest.jsonl`) and reports the first diverging record and the
 first state component inside it. Exit 0 when the streams agree, 1 on a
-divergence, 3 when one stream is a strict prefix of the other
-
-bench-diff prints the bench-history trajectory across the given snapshot
-files (oldest first) and exits 1 if the newest step median regresses past
---gate-rel of the previous one, or if any recorded profiling/digest
-overhead exceeds --max-overhead-pct";
+divergence, 3 when one stream is a strict prefix of the other";
 
 /// The first divergence between two aligned digest streams: record index,
 /// window, op (for op-level streams), diverging component, both hashes.
@@ -612,7 +606,7 @@ fn bisect(path_a: &str, path_b: &str) -> Result<u8, String> {
                 Some(_) => "this is the exact first diverging operation",
                 None => {
                     "re-run both configurations with op-level digests over this window \
-                     (fig_divergence --bisect) to name the exact op"
+                     (as fig_divergence does) to name the exact op"
                 }
             };
             outln!("{hint}");
@@ -635,142 +629,6 @@ fn bisect(path_a: &str, path_b: &str) -> Result<u8, String> {
     }
 }
 
-/// One parsed `BENCH_*.json` snapshot in the bench-history trajectory.
-struct BenchStep {
-    file: String,
-    bench: String,
-    median_ns: Option<f64>,
-    overhead_pct: Option<f64>,
-    git_rev: String,
-}
-
-/// The step median of a snapshot: the plain median when present, else the
-/// baseline median recorded by overhead-style snapshots (shadow,
-/// selfprofile), which is the same underlying `system_step_1000_ops`
-/// measurement.
-const MEDIAN_KEYS: [&str; 2] = ["median_ns_per_iter", "baseline_median_ns_per_iter"];
-const OVERHEAD_KEYS: [&str; 3] = [
-    "prof_overhead_pct",
-    "shadow_overhead_pct",
-    "digest_overhead_pct",
-];
-
-fn load_bench_step(path: &str) -> Result<BenchStep, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let map = dylect_telemetry::export::parse_flat_object(&text)
-        .ok_or_else(|| format!("{path}: not a flat JSON object"))?;
-    let num = |key: &str| map.get(key).and_then(|v| v.as_f64());
-    let median_ns = MEDIAN_KEYS.iter().find_map(|k| num(k));
-    let overhead_pct = OVERHEAD_KEYS.iter().find_map(|k| num(k));
-    Ok(BenchStep {
-        file: path.to_owned(),
-        bench: map
-            .get("bench")
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .unwrap_or_else(|| "?".to_owned()),
-        median_ns,
-        overhead_pct,
-        git_rev: map
-            .get("git_rev")
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .unwrap_or_else(|| "?".to_owned()),
-    })
-}
-
-/// Renders the trajectory table over committed `BENCH_*.json` snapshots
-/// (CLI order = history order) and applies the regression gates. Exit 0
-/// when every gate holds, 1 on a regression.
-fn bench_diff(
-    files: &[String],
-    gate_rel: Option<f64>,
-    max_overhead: Option<f64>,
-) -> Result<u8, String> {
-    let steps: Vec<BenchStep> = files
-        .iter()
-        .map(|f| load_bench_step(f))
-        .collect::<Result<_, _>>()?;
-    outln!(
-        "{:<28} {:<26} {:>14} {:>10} {:>9} {:<8}",
-        "file",
-        "bench",
-        "median_ns",
-        "delta_pct",
-        "overhead",
-        "git_rev"
-    );
-    let mut prev_median: Option<f64> = None;
-    for s in &steps {
-        let median = match s.median_ns {
-            Some(m) => format!("{m:.1}"),
-            None => "-".to_owned(),
-        };
-        let delta = match (prev_median, s.median_ns) {
-            (Some(p), Some(m)) if p > 0.0 => format!("{:+.1}", 100.0 * (m - p) / p),
-            _ => "-".to_owned(),
-        };
-        let overhead = match s.overhead_pct {
-            Some(o) => format!("{o:.2}"),
-            None => "-".to_owned(),
-        };
-        outln!(
-            "{:<28} {:<26} {:>14} {:>10} {:>9} {:<8}",
-            s.file,
-            s.bench,
-            median,
-            delta,
-            overhead,
-            s.git_rev
-        );
-        if s.median_ns.is_some() {
-            prev_median = s.median_ns;
-        }
-    }
-    let mut failed = false;
-    if let Some(rel) = gate_rel {
-        let medians: Vec<(&str, f64)> = steps
-            .iter()
-            .filter_map(|s| s.median_ns.map(|m| (s.file.as_str(), m)))
-            .collect();
-        if let [.., (prev_file, prev), (last_file, last)] = medians.as_slice() {
-            if *last > prev * (1.0 + rel) {
-                outln!(
-                    "GATE: {last_file} median {last:.1} ns regresses past {prev_file} \
-                     ({prev:.1} ns) by more than {:.1}%",
-                    rel * 100.0
-                );
-                failed = true;
-            } else {
-                outln!(
-                    "gate ok: {last_file} within {:.1}% of {prev_file}",
-                    rel * 100.0
-                );
-            }
-        }
-    }
-    if let Some(max) = max_overhead {
-        // Profiling and digest overheads are budgeted; shadow overhead is
-        // expected to be large and is reported, not gated.
-        for s in &steps {
-            let gated = s.bench.contains("prof") || s.bench.contains("digest");
-            if let (true, Some(o)) = (gated, s.overhead_pct) {
-                if o > max {
-                    outln!(
-                        "GATE: {} recorded overhead {o:.2}% exceeds {max:.2}%",
-                        s.file
-                    );
-                    failed = true;
-                } else {
-                    outln!(
-                        "overhead ok: {} recorded overhead {o:.2}% <= {max:.2}%",
-                        s.file
-                    );
-                }
-            }
-        }
-    }
-    Ok(if failed { 1 } else { 0 })
-}
-
 fn run() -> Result<u8, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -784,40 +642,6 @@ fn run() -> Result<u8, String> {
             Ok(0)
         }
         Some("bisect") if args.len() == 3 => bisect(&args[1], &args[2]),
-        Some("bench-diff") if args.len() >= 2 => {
-            let mut files = Vec::new();
-            let mut gate_rel = None;
-            let mut max_overhead = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    flag @ ("--gate-rel" | "--max-overhead-pct") => {
-                        let value = args
-                            .get(i + 1)
-                            .ok_or_else(|| format!("{flag} needs a value"))?
-                            .parse::<f64>()
-                            .map_err(|e| format!("{flag}: {e}"))?;
-                        if flag == "--gate-rel" {
-                            gate_rel = Some(value);
-                        } else {
-                            max_overhead = Some(value);
-                        }
-                        i += 2;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown flag {other}\n{USAGE}"));
-                    }
-                    file => {
-                        files.push(file.to_owned());
-                        i += 1;
-                    }
-                }
-            }
-            if files.is_empty() {
-                return Err(format!("bench-diff needs at least one file\n{USAGE}"));
-            }
-            bench_diff(&files, gate_rel, max_overhead)
-        }
         Some("diff") if args.len() >= 3 => {
             let mut tol = Tolerance::default();
             let mut i = 3;
@@ -994,49 +818,5 @@ mod tests {
         // Misaligned identities are an error, not a divergence.
         let shifted = vec![digest_row(3, None, "1111111111111111")];
         assert!(first_stream_divergence(&a, &shifted).is_err());
-    }
-
-    #[test]
-    fn bench_diff_gates_a_regression_and_passes_within_tolerance() {
-        let dir =
-            std::env::temp_dir().join(format!("dylect-benchdiff-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, body: &str| -> String {
-            let path = dir.join(name);
-            std::fs::write(&path, body).unwrap();
-            path.to_string_lossy().into_owned()
-        };
-        let a = write(
-            "BENCH_a.json",
-            "{\n  \"bench\": \"system_step_1000_ops\",\n  \"median_ns_per_iter\": 100.0,\n  \"git_rev\": \"aaa\"\n}\n",
-        );
-        let ok = write(
-            "BENCH_b.json",
-            "{\n  \"bench\": \"system_step_1000_ops\",\n  \"median_ns_per_iter\": 104.0,\n  \"git_rev\": \"bbb\"\n}\n",
-        );
-        let bad = write(
-            "BENCH_c.json",
-            "{\n  \"bench\": \"system_step_1000_prof\",\n  \"baseline_median_ns_per_iter\": 140.0,\n  \"prof_overhead_pct\": 3.5,\n  \"git_rev\": \"ccc\"\n}\n",
-        );
-        let steps = [a.clone(), ok.clone()];
-        assert_eq!(
-            bench_diff(&steps, Some(0.10), None),
-            Ok(0),
-            "4% is within 10%"
-        );
-        let steps = [a.clone(), ok.clone(), bad.clone()];
-        assert_eq!(
-            bench_diff(&steps, Some(0.10), None),
-            Ok(1),
-            "140 vs 104 regresses past 10%"
-        );
-        assert_eq!(
-            bench_diff(std::slice::from_ref(&bad), None, Some(2.0)),
-            Ok(1),
-            "3.5% profiling overhead exceeds the 2% budget"
-        );
-        assert_eq!(bench_diff(&[bad], None, Some(5.0)), Ok(0));
-        assert!(bench_diff(&["/nonexistent.json".to_owned()], None, None).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -148,86 +148,12 @@ fn shadow_exports_are_deterministic() {
 }
 
 #[test]
-fn worker_count_never_changes_reports() {
-    // Intra-run sharding is an execution detail: with multiple memory
-    // controllers, `System::set_jobs` only decides which thread applies
-    // each MC's (FIFO) writeback queue at a batch boundary. Reports must
-    // be byte-identical for every worker count.
-    let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
-    let mode = tiny_mode();
-    let run = |jobs: usize| {
-        let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
-        cfg.memory_controllers = 4;
-        let mut sys = System::new(cfg, &spec);
-        sys.set_jobs(jobs);
-        sys.run(mode.warmup_ops, mode.measure_ops)
-    };
-    let sequential = run(1);
-    for jobs in [2, 4, 9] {
-        assert_eq!(
-            sequential.to_cache_text(),
-            run(jobs).to_cache_text(),
-            "{jobs} drain workers changed the simulated run"
-        );
-    }
-}
-
-#[test]
-fn worker_count_never_changes_exported_bytes() {
-    // Same invariant end-to-end through the telemetry exporter: worker
-    // count must leave every exported artifact (.jsonl, .shadow.jsonl)
-    // byte-identical. (With probes installed the drain is sequential by
-    // construction; this pins the user-facing promise regardless.)
-    let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
-    let mode = tiny_mode();
-    let export = |jobs: usize| {
-        let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
-        cfg.memory_controllers = 2;
-        let mut sys = System::new(cfg, &spec);
-        sys.set_jobs(jobs);
-        sys.enable_telemetry(dylect_telemetry::TelemetryConfig {
-            shadow: true,
-            span_sample: 16,
-            ..dylect_telemetry::TelemetryConfig::default()
-        });
-        sys.run(mode.warmup_ops, mode.measure_ops);
-        let telemetry = sys.take_telemetry().expect("enabled above");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-jobs-det-{}-{jobs}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("omnetpp-dylect"))
-            .expect("export writes");
-        let contents: Vec<(String, String)> = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
-    };
-    let sequential = export(1);
-    for jobs in [2, 8] {
-        let parallel = export(jobs);
-        assert_eq!(sequential.len(), parallel.len());
-        for ((name_a, body_a), (name_b, body_b)) in sequential.iter().zip(&parallel) {
-            assert_eq!(name_a, name_b);
-            assert_eq!(body_a, body_b, "{name_a} differs with {jobs} workers");
-        }
-    }
-}
-
-#[test]
 fn snapshot_restore_pins_reports_and_exports_for_every_scheme() {
     // The checkpoint/restore contract: warming up, snapshotting, and
     // resuming the measurement on a *fresh* system must be byte-identical
     // to the straight-through run — in the report cache text AND in every
     // exported telemetry artifact (.jsonl, .shadow.jsonl) — for all three
-    // compressing schemes and for every drain worker count.
+    // compressing schemes on two memory controllers.
     let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
     let mode = tiny_mode();
     let telemetry_cfg = dylect_telemetry::TelemetryConfig {
@@ -260,39 +186,36 @@ fn snapshot_restore_pins_reports_and_exports_for_every_scheme() {
         SchemeKind::dylect(),
         SchemeKind::NaiveDynamic,
     ] {
-        for jobs in [1usize, 3] {
-            let label = format!("{}/jobs={jobs}", scheme.label());
-            let build = || {
-                let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
-                cfg.memory_controllers = 2;
-                let mut sys = System::new(cfg, &spec);
-                sys.set_jobs(jobs);
-                sys.enable_telemetry(telemetry_cfg);
-                sys
-            };
-            let mut straight = build();
-            let r_straight = straight.run(mode.warmup_ops, mode.measure_ops);
-            let snap = build().warm_up_and_snapshot(mode.warmup_ops);
-            let mut resumed = build();
-            let r_resumed = resumed
-                .resume_measurement(&snap, mode.measure_ops)
-                .expect("same-config restore succeeds");
-            assert_eq!(
-                r_straight.to_cache_text(),
-                r_resumed.to_cache_text(),
-                "{label}: resumed report differs from straight-through"
-            );
-            let e_straight = export(straight, &format!("s-{jobs}-{}", scheme.label()));
-            let e_resumed = export(resumed, &format!("r-{jobs}-{}", scheme.label()));
-            assert_eq!(
-                e_straight.len(),
-                e_resumed.len(),
-                "{label}: export sets differ"
-            );
-            for ((name_a, body_a), (name_b, body_b)) in e_straight.iter().zip(&e_resumed) {
-                assert_eq!(name_a, name_b, "{label}");
-                assert_eq!(body_a, body_b, "{label}: {name_a} differs after restore");
-            }
+        let label = scheme.label();
+        let build = || {
+            let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
+            cfg.memory_controllers = 2;
+            let mut sys = System::new(cfg, &spec);
+            sys.enable_telemetry(telemetry_cfg);
+            sys
+        };
+        let mut straight = build();
+        let r_straight = straight.run(mode.warmup_ops, mode.measure_ops);
+        let snap = build().warm_up_and_snapshot(mode.warmup_ops);
+        let mut resumed = build();
+        let r_resumed = resumed
+            .resume_measurement(&snap, mode.measure_ops)
+            .expect("same-config restore succeeds");
+        assert_eq!(
+            r_straight.to_cache_text(),
+            r_resumed.to_cache_text(),
+            "{label}: resumed report differs from straight-through"
+        );
+        let e_straight = export(straight, &format!("s-{label}"));
+        let e_resumed = export(resumed, &format!("r-{label}"));
+        assert_eq!(
+            e_straight.len(),
+            e_resumed.len(),
+            "{label}: export sets differ"
+        );
+        for ((name_a, body_a), (name_b, body_b)) in e_straight.iter().zip(&e_resumed) {
+            assert_eq!(name_a, name_b, "{label}");
+            assert_eq!(body_a, body_b, "{label}: {name_a} differs after restore");
         }
     }
 }
@@ -303,8 +226,8 @@ fn host_profiling_never_leaks_into_reports_or_exports() {
     // and writes only its own global registry, so running with profiling
     // armed must be byte-identical to running with it off — in the report
     // cache text AND in every exported telemetry artifact (.jsonl,
-    // .shadow.jsonl) — for all three compressing schemes and for every
-    // drain worker count. Profiling is toggled programmatically (not via
+    // .shadow.jsonl) — for all three compressing schemes on two memory
+    // controllers. Profiling is toggled programmatically (not via
     // DYLECT_PROF) so the test owns no environment state.
     use dylect_sim_core::prof;
     let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
@@ -339,36 +262,33 @@ fn host_profiling_never_leaks_into_reports_or_exports() {
         SchemeKind::dylect(),
         SchemeKind::NaiveDynamic,
     ] {
-        for jobs in [1usize, 3] {
-            let label = format!("{}/jobs={jobs}", scheme.label());
-            let run_with = |prof_on: bool, tag: &str| {
-                let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
-                cfg.memory_controllers = 2;
-                let mut sys = System::new(cfg, &spec);
-                sys.set_jobs(jobs);
-                sys.enable_telemetry(telemetry_cfg);
-                prof::set_enabled(prof_on);
-                if prof_on {
-                    prof::reset();
-                }
-                let report = sys.run(mode.warmup_ops, mode.measure_ops);
-                prof::set_enabled(false);
-                (report.to_cache_text(), export(sys, tag))
-            };
-            let (r_off, e_off) = run_with(false, &format!("off-{jobs}-{}", scheme.label()));
-            let (r_on, e_on) = run_with(true, &format!("on-{jobs}-{}", scheme.label()));
-            assert_eq!(
-                r_off, r_on,
-                "{label}: profiling changed the report cache text"
-            );
-            assert_eq!(e_off.len(), e_on.len(), "{label}: export sets differ");
-            for ((name_a, body_a), (name_b, body_b)) in e_off.iter().zip(&e_on) {
-                assert_eq!(name_a, name_b, "{label}");
-                assert_eq!(
-                    body_a, body_b,
-                    "{label}: {name_a} differs with profiling armed"
-                );
+        let label = scheme.label();
+        let run_with = |prof_on: bool, tag: &str| {
+            let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
+            cfg.memory_controllers = 2;
+            let mut sys = System::new(cfg, &spec);
+            sys.enable_telemetry(telemetry_cfg);
+            prof::set_enabled(prof_on);
+            if prof_on {
+                prof::reset();
             }
+            let report = sys.run(mode.warmup_ops, mode.measure_ops);
+            prof::set_enabled(false);
+            (report.to_cache_text(), export(sys, tag))
+        };
+        let (r_off, e_off) = run_with(false, &format!("off-{label}"));
+        let (r_on, e_on) = run_with(true, &format!("on-{label}"));
+        assert_eq!(
+            r_off, r_on,
+            "{label}: profiling changed the report cache text"
+        );
+        assert_eq!(e_off.len(), e_on.len(), "{label}: export sets differ");
+        for ((name_a, body_a), (name_b, body_b)) in e_off.iter().zip(&e_on) {
+            assert_eq!(name_a, name_b, "{label}");
+            assert_eq!(
+                body_a, body_b,
+                "{label}: {name_a} differs with profiling armed"
+            );
         }
     }
 }
@@ -404,8 +324,8 @@ fn state_digests_never_leak_into_reports_or_exports() {
     // traversal at window boundaries — reads only, so running with
     // digests armed must be byte-identical to running with them off, in
     // the report cache text AND in every exported telemetry artifact
-    // (.jsonl, .shadow.jsonl), for all three compressing schemes and for
-    // every drain worker count. The window is shrunk per system so the
+    // (.jsonl, .shadow.jsonl), for all three compressing schemes on two
+    // memory controllers. The window is shrunk per system so the
     // tiny runs actually cross boundaries (the capture path runs, not
     // just the tick), and capture is toggled programmatically (not via
     // DYLECT_DIGEST) so the test owns no environment state.
@@ -442,43 +362,40 @@ fn state_digests_never_leak_into_reports_or_exports() {
         SchemeKind::dylect(),
         SchemeKind::NaiveDynamic,
     ] {
-        for jobs in [1usize, 3] {
-            let label = format!("{}/jobs={jobs}", scheme.label());
-            let run_with = |digest_on: bool, tag: &str| {
-                let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
-                cfg.memory_controllers = 2;
-                let mut sys = System::new(cfg, &spec);
-                sys.set_digest_window(4096);
-                sys.set_jobs(jobs);
-                sys.enable_telemetry(telemetry_cfg);
-                digest::set_enabled(digest_on);
-                let report = sys.run(mode.warmup_ops, mode.measure_ops);
-                digest::set_enabled(false);
-                let digests = sys.take_digests();
-                if digest_on {
-                    assert!(
-                        !digests.is_empty(),
-                        "{label}: no windows captured — the pin would be vacuous"
-                    );
-                } else {
-                    assert!(digests.is_empty(), "{label}: captured while disabled");
-                }
-                (report.to_cache_text(), export(sys, tag))
-            };
-            let (r_off, e_off) = run_with(false, &format!("off-{jobs}-{}", scheme.label()));
-            let (r_on, e_on) = run_with(true, &format!("on-{jobs}-{}", scheme.label()));
-            assert_eq!(
-                r_off, r_on,
-                "{label}: digests changed the report cache text"
-            );
-            assert_eq!(e_off.len(), e_on.len(), "{label}: export sets differ");
-            for ((name_a, body_a), (name_b, body_b)) in e_off.iter().zip(&e_on) {
-                assert_eq!(name_a, name_b, "{label}");
-                assert_eq!(
-                    body_a, body_b,
-                    "{label}: {name_a} differs with digests armed"
+        let label = scheme.label();
+        let run_with = |digest_on: bool, tag: &str| {
+            let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
+            cfg.memory_controllers = 2;
+            let mut sys = System::new(cfg, &spec);
+            sys.set_digest_window(4096);
+            sys.enable_telemetry(telemetry_cfg);
+            digest::set_enabled(digest_on);
+            let report = sys.run(mode.warmup_ops, mode.measure_ops);
+            digest::set_enabled(false);
+            let digests = sys.take_digests();
+            if digest_on {
+                assert!(
+                    !digests.is_empty(),
+                    "{label}: no windows captured — the pin would be vacuous"
                 );
+            } else {
+                assert!(digests.is_empty(), "{label}: captured while disabled");
             }
+            (report.to_cache_text(), export(sys, tag))
+        };
+        let (r_off, e_off) = run_with(false, &format!("off-{label}"));
+        let (r_on, e_on) = run_with(true, &format!("on-{label}"));
+        assert_eq!(
+            r_off, r_on,
+            "{label}: digests changed the report cache text"
+        );
+        assert_eq!(e_off.len(), e_on.len(), "{label}: export sets differ");
+        for ((name_a, body_a), (name_b, body_b)) in e_off.iter().zip(&e_on) {
+            assert_eq!(name_a, name_b, "{label}");
+            assert_eq!(
+                body_a, body_b,
+                "{label}: {name_a} differs with digests armed"
+            );
         }
     }
 }
@@ -576,7 +493,7 @@ fn scenario_runs_are_deterministic_across_jobs_and_resume() {
     // The datacenter scenario subsystem inherits every determinism
     // guarantee: a multi-tenant run — with and without 2D nested walks,
     // with phase-churn and memory-pressure events firing mid-window —
-    // must be byte-identical for every drain worker count AND under
+    // on two memory controllers must be byte-identical under
     // snapshot→restore resume (events re-fire at the same boundaries),
     // including every exported telemetry artifact.
     use dylect_scenario::ScenarioSpec;
@@ -612,45 +529,35 @@ fn scenario_runs_are_deterministic_across_jobs_and_resume() {
             nested as u8
         );
         let scenario = ScenarioSpec::parse(&raw).expect("valid spec");
-        let build = |jobs: usize| {
+        let build = || {
             let first = BenchmarkSpec::by_name("omnetpp").expect("in suite");
             let base = SystemConfig::quick(&first, SchemeKind::dylect(), CompressionSetting::High);
             let mut cfg = scenario.configure(base, CompressionSetting::High);
             cfg.memory_controllers = 2;
             let mut sys = scenario.build_system(cfg);
-            sys.set_jobs(jobs);
             sys.enable_telemetry(telemetry_cfg);
             sys
         };
         let label = format!("nested={nested}");
 
-        let mut s1 = build(1);
+        let mut s1 = build();
         let o1 = scenario.run(&mut s1, mode.warmup_ops, mode.measure_ops);
-        let mut s3 = build(3);
-        let o3 = scenario.run(&mut s3, mode.warmup_ops, mode.measure_ops);
-        assert_eq!(o1, o3, "{label}: worker count changed the scenario run");
-        assert_eq!(
-            o1.report.to_cache_text(),
-            o3.report.to_cache_text(),
-            "{label}: cache text differs across worker counts"
-        );
 
-        let snap = build(1).warm_up_and_snapshot(mode.warmup_ops);
-        let mut sr = build(3);
+        let snap = build().warm_up_and_snapshot(mode.warmup_ops);
+        let mut sr = build();
         let or = scenario
             .resume(&mut sr, &snap, mode.measure_ops)
             .expect("scenario snapshot restores");
         assert_eq!(o1, or, "{label}: resumed scenario differs from straight");
+        assert_eq!(
+            o1.report.to_cache_text(),
+            or.report.to_cache_text(),
+            "{label}: cache text differs after restore"
+        );
 
         let e1 = export(s1, &format!("s-{nested}"));
-        let e3 = export(s3, &format!("j-{nested}"));
         let er = export(sr, &format!("r-{nested}"));
-        assert_eq!(e1.len(), e3.len(), "{label}: export sets differ");
         assert_eq!(e1.len(), er.len(), "{label}: export sets differ");
-        for (a, b) in e1.iter().zip(&e3) {
-            assert_eq!(a.0, b.0, "{label}");
-            assert_eq!(a.1, b.1, "{label}: {} differs with 3 workers", a.0);
-        }
         for (a, b) in e1.iter().zip(&er) {
             assert_eq!(a.0, b.0, "{label}");
             assert_eq!(a.1, b.1, "{label}: {} differs after restore", a.0);

@@ -1,6 +1,8 @@
 //! Guards the hermetic build: no crate in the workspace may depend on a
 //! registry package. Every dependency must be a path / workspace member,
-//! so `cargo build --offline` always works on a fresh checkout.
+//! so `cargo build --offline` always works on a fresh checkout. Also
+//! guards the workspace lint table: `unsafe_code` is forbidden, and every
+//! member crate must opt in to the workspace lints.
 
 use std::path::{Path, PathBuf};
 
@@ -78,5 +80,53 @@ fn lockfile_is_committed_and_registry_free() {
     assert!(
         !lock.contains("source = "),
         "Cargo.lock references an external source; the build is no longer hermetic"
+    );
+}
+
+/// True when `text` has a `[lints]` table containing `workspace = true`.
+fn inherits_workspace_lints(text: &str) -> bool {
+    let mut in_lints = false;
+    for raw in text.lines() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+#[test]
+fn unsafe_code_is_forbidden_in_every_member() {
+    let manifests = workspace_manifests();
+    let (root, members) = manifests.split_first().expect("root manifest");
+    let root_text = std::fs::read_to_string(root).expect("root manifest readable");
+    let forbids_unsafe = root_text
+        .split_once("[workspace.lints.rust]")
+        .and_then(|(_, table)| {
+            table
+                .lines()
+                .take_while(|l| !l.trim_start().starts_with('['))
+                .find(|l| l.trim_start().starts_with("unsafe_code"))
+        })
+        .is_some_and(|l| l.contains("\"forbid\""));
+    assert!(
+        forbids_unsafe,
+        "{}: [workspace.lints.rust] must set unsafe_code = \"forbid\"",
+        root.display()
+    );
+    let missing: Vec<String> = members
+        .iter()
+        .filter(|m| {
+            let text = std::fs::read_to_string(m).expect("manifest readable");
+            !inherits_workspace_lints(&text)
+        })
+        .map(|m| m.display().to_string())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "member manifests without `[lints] workspace = true`:\n{}",
+        missing.join("\n")
     );
 }

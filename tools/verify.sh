@@ -70,10 +70,10 @@ for f in "$SMOKE"/shadow-a/*.trace.json; do
 done
 echo "shadow smoke: OK"
 
-echo "== sharding smoke: worker count leaves the multi-MC ablation byte-identical"
-# The multi-MC ablation sweeps 1/2/4 controllers, so DYLECT_JOBS>1 drains
-# independent MCs on worker threads *within* each run. Worker count is an
-# execution detail; the emitted table must not change by a byte.
+echo "== runner-pool smoke: DYLECT_JOBS leaves the multi-MC ablation byte-identical"
+# DYLECT_JOBS sizes the runner's pool of whole runs. The multi-MC
+# ablation sweeps 1/2/4 controllers; one worker or three running its
+# matrix concurrently must emit the same table, byte for byte.
 DYLECT_QUICK=1 DYLECT_JOBS=1 DYLECT_NO_CACHE=1 \
     cargo run -q --offline --release -p dylect-bench \
     --bin ablation_multimc > "$SMOKE/multimc-seq.tsv"
@@ -81,8 +81,8 @@ DYLECT_QUICK=1 DYLECT_JOBS=3 DYLECT_NO_CACHE=1 \
     cargo run -q --offline --release -p dylect-bench \
     --bin ablation_multimc > "$SMOKE/multimc-par.tsv"
 cmp -s "$SMOKE/multimc-seq.tsv" "$SMOKE/multimc-par.tsv" \
-    || { echo "sharding smoke: worker count changed results"; exit 1; }
-echo "sharding smoke: OK"
+    || { echo "runner-pool smoke: worker count changed results"; exit 1; }
+echo "runner-pool smoke: OK"
 
 echo "== checkpoint smoke: repeat runs warm-start from a shared checkpoint"
 # First run populates DYLECT_CHECKPOINT_DIR (one .ckpt per warmed config);
@@ -167,7 +167,7 @@ grep -q '"digest": "window"' "$DIGEST_STREAM" \
 echo "digest smoke: OK"
 
 echo "== bisect smoke: first-divergence bisection localizes an injected fault"
-# fig_divergence --bisect injects one spurious L3-miss count at op 6400
+# fig_divergence injects one spurious L3-miss count at op 6400
 # (inside digest window 2 at its 4096-op window) and must localize it
 # from the digest streams alone: first to the window, then via op-level
 # replay to the exact op and component; the always-on flight recorder
@@ -176,8 +176,8 @@ echo "== bisect smoke: first-divergence bisection localizes an injected fault"
 # codes (1 = divergence, 0 = identical).
 DIV="$SMOKE/divergence"
 DYLECT_QUICK=1 cargo run -q --offline --release -p dylect-bench \
-    --bin fig_divergence -- --bisect --out "$DIV" > "$SMOKE/bisect.out" \
-    || { echo "bisect smoke: fig_divergence --bisect failed"; cat "$SMOKE/bisect.out"; exit 1; }
+    --bin fig_divergence -- --out "$DIV" > "$SMOKE/bisect.out" \
+    || { echo "bisect smoke: fig_divergence failed"; cat "$SMOKE/bisect.out"; exit 1; }
 grep -q "first diverging window: 2 (component cache)" "$SMOKE/bisect.out" \
     || { echo "bisect smoke: wrong or missing window verdict"; cat "$SMOKE/bisect.out"; exit 1; }
 grep -q "first diverging op: 6400 (component cache)" "$SMOKE/bisect.out" \
@@ -223,18 +223,6 @@ for f in "$SMOKE"/tenants-a/*.tenants.jsonl; do
         || { echo "scenario smoke: $(basename "$f") has no interference findings"; exit 1; }
 done
 echo "scenario smoke: OK"
-
-echo "== bench-diff gate: committed BENCH trajectory within budgets"
-# The committed bench-history registry, oldest snapshot first. Gates: the
-# newest median step must not regress >25% over its predecessor, and any
-# self-profiling or state-digest snapshot must show <2% armed overhead.
-cargo run -q --offline --release -p dylect-telemetry --bin dylect-stats -- \
-    bench-diff BENCH_latency_attrib.json BENCH_telemetry.json \
-    BENCH_batched.json BENCH_checkpoint.json BENCH_selfprofile.json \
-    BENCH_digest.json BENCH_scenario.json \
-    --gate-rel 0.25 --max-overhead-pct 2.0 \
-    || { echo "bench-diff gate: trajectory breached a budget"; exit 1; }
-echo "bench-diff gate: OK"
 
 echo "== serve smoke: dylect-serve answers healthz, figure, and diff"
 # Serve the telemetry exports from the first smoke on an ephemeral port
