@@ -1,523 +1,15 @@
-//! One-stop reproduction driver: runs the benchmark × setting × scheme
-//! matrix once and prints every table/figure section that can be derived
-//! from it, then the extra sweeps (page sizes, CTE cache sizes,
-//! granularity, group size).
+//! One-stop reproduction driver: runs the runs of every figure in
+//! `dylect_bench::figures::ALLFIGS` as one batch, then prints the figures
+//! in order. Figures share most of their runs; the runner simulates each
+//! distinct configuration once and caches it under `results/cache/`, where
+//! the per-figure binaries pick it up without re-simulating.
 //!
-//! The per-figure binaries (`fig18_speedup` etc.) remain the documented
-//! entrypoints for individual experiments; this driver exists because the
-//! figures share most of their runs. All runs — matrix and sweeps — are
-//! submitted to the parallel runner as one batch, so they spread across
-//! `DYLECT_JOBS` workers and land in `results/cache/`, where the
-//! per-figure binaries pick them up without re-simulating.
-//!
-//! Usage: `allfigs [--quick] [--all]` (`--all` = full 12-benchmark suite).
+//! Usage: `allfigs [--quick] [--all] [--no-cache]` (`--all` = full
+//! 12-benchmark suite).
 
-use std::collections::HashMap;
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_cpu::PageSizeMode;
-use dylect_dram::RequestClass;
-use dylect_sim::{RunReport, SchemeKind};
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
-
-type Key = (String, &'static str, &'static str);
-
-fn setting_name(s: CompressionSetting) -> &'static str {
-    match s {
-        CompressionSetting::Low => "low",
-        CompressionSetting::High => "high",
-    }
-}
+use dylect_bench::figures;
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-
-    // ---- Phase 1: build the whole run list ------------------------------
-    // Keys are submitted in one batch; the runner dedups identical configs
-    // (e.g. the g=1 granularity point repeats the matrix TMCC run) and
-    // executes the rest in parallel.
-    let mut ids: Vec<Key> = Vec::new();
-    let mut keys: Vec<RunKey> = Vec::new();
-    let push = |ids: &mut Vec<Key>, keys: &mut Vec<RunKey>, id: Key, key: RunKey| {
-        ids.push(id);
-        keys.push(key);
-    };
-
-    let schemes: [(&'static str, SchemeKind); 4] = [
-        ("nocomp", SchemeKind::NoCompression),
-        ("tmcc", SchemeKind::tmcc()),
-        ("dylect", SchemeKind::dylect()),
-        ("upper", SchemeKind::DylectAlwaysHit { group_size: 3 }),
-    ];
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for (label, scheme) in &schemes {
-                push(
-                    &mut ids,
-                    &mut keys,
-                    (spec.name.to_owned(), setting_name(setting), label),
-                    RunKey::new(spec.clone(), scheme.clone(), setting, mode),
-                );
-            }
-        }
-    }
-    // Naive strawman + the 16-rank no-compression system (energy), high only.
-    for spec in &specs {
-        push(
-            &mut ids,
-            &mut keys,
-            (spec.name.to_owned(), "high", "naive"),
-            RunKey::new(
-                spec.clone(),
-                SchemeKind::NaiveDynamic,
-                CompressionSetting::High,
-                mode,
-            ),
-        );
-        push(
-            &mut ids,
-            &mut keys,
-            (spec.name.to_owned(), "high", "nocomp16"),
-            RunKey::new(
-                spec.clone(),
-                SchemeKind::NoCompression,
-                CompressionSetting::High,
-                mode,
-            )
-            .with_ranks(16, 2),
-        );
-    }
-    // Figure 3: the 4 KB-page baseline (the 2 MB side reuses matrix nocomp).
-    for spec in &specs {
-        push(
-            &mut ids,
-            &mut keys,
-            (spec.name.to_owned(), "low", "nocomp4k"),
-            RunKey::new(
-                spec.clone(),
-                SchemeKind::NoCompression,
-                CompressionSetting::Low,
-                mode,
-            )
-            .with_pages(PageSizeMode::Standard4K),
-        );
-    }
-    // Figure 5: CTE cache size sweep (TMCC, high) on the first 4 benchmarks.
-    let sweep_specs: Vec<BenchmarkSpec> = specs.iter().take(4).cloned().collect();
-    let cte_sizes: [(&'static str, u64); 4] = [
-        ("cte64", 64),
-        ("cte128", 128),
-        ("cte256", 256),
-        ("cte512", 512),
-    ];
-    for spec in &sweep_specs {
-        for (label, kb) in cte_sizes {
-            push(
-                &mut ids,
-                &mut keys,
-                (spec.name.to_owned(), "high", label),
-                RunKey::new(
-                    spec.clone(),
-                    SchemeKind::Tmcc {
-                        granule_pages: 1,
-                        cte_cache_bytes: kb * 1024,
-                    },
-                    CompressionSetting::High,
-                    mode,
-                ),
-            );
-        }
-    }
-    // Figures 6 + 25: granularity and group-size sweeps on the two fastest
-    // benchmarks.
-    let g_specs: Vec<BenchmarkSpec> = ["omnetpp", "canneal"]
-        .iter()
-        .filter_map(|n| BenchmarkSpec::by_name(n))
-        .collect();
-    let granules: [(&'static str, u64); 4] = [("g1", 1), ("g4", 4), ("g16", 16), ("g32", 32)];
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &g_specs {
-            for (label, g) in granules {
-                push(
-                    &mut ids,
-                    &mut keys,
-                    (spec.name.to_owned(), setting_name(setting), label),
-                    RunKey::new(
-                        spec.clone(),
-                        SchemeKind::Tmcc {
-                            granule_pages: g,
-                            cte_cache_bytes: 128 * 1024,
-                        },
-                        setting,
-                        mode,
-                    ),
-                );
-            }
-        }
-    }
-    let groups: [(&'static str, u64); 4] = [("grp1", 1), ("grp3", 3), ("grp7", 7), ("grp15", 15)];
-    for spec in &g_specs {
-        for (label, g) in groups {
-            push(
-                &mut ids,
-                &mut keys,
-                (spec.name.to_owned(), "high", label),
-                RunKey::new(
-                    spec.clone(),
-                    SchemeKind::Dylect {
-                        group_size: g,
-                        cte_cache_bytes: 128 * 1024,
-                    },
-                    CompressionSetting::High,
-                    mode,
-                ),
-            );
-        }
-    }
-
-    eprintln!("[allfigs] {} runs submitted", keys.len());
-    let results = run_matrix(keys);
-    let reports: HashMap<Key, RunReport> = ids.into_iter().zip(results).collect();
-
-    let get = |b: &str, s: &'static str, sch: &'static str| -> &RunReport {
-        reports
-            .get(&(b.to_owned(), s, sch))
-            .expect("report present")
-    };
-
-    for s in ["low", "high"] {
-        for spec in &specs {
-            for (label, _) in &schemes {
-                let r = get(spec.name, s, label);
-                eprintln!(
-                    "[matrix] {s} {} {label}: ips {:.3e} hit {:.3}",
-                    spec.name,
-                    r.ips(),
-                    r.mc.cte_hit_rate()
-                );
-            }
-        }
-    }
-
-    // ---- Phase 2: derived figures ---------------------------------------
-    // Figure 4.
-    let mut rows = Vec::new();
-    for s in ["low", "high"] {
-        let mut xs = Vec::new();
-        for spec in &specs {
-            let v = get(spec.name, s, "tmcc").speedup_over(get(spec.name, s, "nocomp"));
-            xs.push(v);
-            rows.push(vec![s.into(), spec.name.into(), format!("{v:.4}")]);
-        }
-        rows.push(vec![
-            s.into(),
-            "GEOMEAN".into(),
-            format!("{:.4}", geomean(&xs)),
-        ]);
-    }
-    print_table(
-        "Figure 4: TMCC normalized to no-compression (paper: 0.86 low, 0.82 high)",
-        &["setting", "benchmark", "tmcc_norm_perf"],
-        &rows,
-    );
-
-    // Figure 18.
-    let mut rows = Vec::new();
-    let mut all_speedups = Vec::new();
-    for s in ["low", "high"] {
-        let mut xs = Vec::new();
-        for spec in &specs {
-            let d = get(spec.name, s, "dylect").speedup_over(get(spec.name, s, "tmcc"));
-            let u = get(spec.name, s, "upper").speedup_over(get(spec.name, s, "tmcc"));
-            xs.push(d);
-            all_speedups.push(d);
-            rows.push(vec![
-                s.into(),
-                spec.name.into(),
-                format!("{d:.4}"),
-                format!("{u:.4}"),
-            ]);
-        }
-        rows.push(vec![
-            s.into(),
-            "GEOMEAN".into(),
-            format!("{:.4}", geomean(&xs)),
-            String::new(),
-        ]);
-    }
-    print_table(
-        "Figure 18: DyLeCT over TMCC + always-hit upper bound (paper: 1.11 low, 1.095 high)",
-        &[
-            "setting",
-            "benchmark",
-            "dylect_over_tmcc",
-            "upper_over_tmcc",
-        ],
-        &rows,
-    );
-    println!("# fig18 overall geomean: {:.4}\n", geomean(&all_speedups));
-
-    // Figure 19.
-    let mut rows = Vec::new();
-    for s in ["low", "high"] {
-        let mut sums = [0.0f64; 4];
-        for spec in &specs {
-            let t = get(spec.name, s, "tmcc").mc.cte_hit_rate();
-            let d = get(spec.name, s, "dylect");
-            sums[0] += t;
-            sums[1] += d.mc.cte_hit_rate();
-            sums[2] += d.mc.pregathered_hit_rate();
-            sums[3] += d.mc.unified_hit_rate();
-            rows.push(vec![
-                s.into(),
-                spec.name.into(),
-                format!("{t:.4}"),
-                format!("{:.4}", d.mc.cte_hit_rate()),
-                format!("{:.4}", d.mc.pregathered_hit_rate()),
-                format!("{:.4}", d.mc.unified_hit_rate()),
-            ]);
-        }
-        let n = specs.len() as f64;
-        rows.push(vec![
-            s.into(),
-            "MEAN".into(),
-            format!("{:.4}", sums[0] / n),
-            format!("{:.4}", sums[1] / n),
-            format!("{:.4}", sums[2] / n),
-            format!("{:.4}", sums[3] / n),
-        ]);
-    }
-    print_table(
-        "Figure 19: CTE cache hit rates (paper: low 0.70->0.96, high 0.67->0.91 = 0.77pg + 0.14uni)",
-        &["setting", "benchmark", "tmcc", "dylect", "pregathered", "unified"],
-        &rows,
-    );
-
-    // Figure 20.
-    let mut rows = Vec::new();
-    for s in ["low", "high"] {
-        for spec in &specs {
-            let o = get(spec.name, s, "dylect").occupancy;
-            let total = (o.ml0_pages + o.ml1_pages + o.ml2_pages) as f64;
-            rows.push(vec![
-                s.into(),
-                spec.name.into(),
-                format!("{:.4}", o.ml0_pages as f64 / total),
-                format!("{:.4}", o.ml1_pages as f64 / total),
-                format!("{:.4}", o.ml2_pages as f64 / total),
-                format!("{:.4}", o.ml0_fraction_of_uncompressed()),
-            ]);
-        }
-    }
-    print_table(
-        "Figure 20: ML0/ML1/ML2 breakdown under DyLeCT (paper: ML0 grows at low compression; 66% of uncompressed at G=3)",
-        &["setting", "benchmark", "ml0", "ml1", "ml2", "ml0_of_uncompressed"],
-        &rows,
-    );
-
-    // Figure 21.
-    let mut rows = Vec::new();
-    for s in ["low", "high"] {
-        let mut sums = [0.0f64; 2];
-        for spec in &specs {
-            let t = get(spec.name, s, "tmcc").l3_miss_overhead_ns;
-            let d = get(spec.name, s, "dylect").l3_miss_overhead_ns;
-            sums[0] += t;
-            sums[1] += d;
-            rows.push(vec![
-                s.into(),
-                spec.name.into(),
-                format!("{t:.2}"),
-                format!("{d:.2}"),
-            ]);
-        }
-        let n = specs.len() as f64;
-        rows.push(vec![
-            s.into(),
-            "MEAN".into(),
-            format!("{:.2}", sums[0] / n),
-            format!("{:.2}", sums[1] / n),
-        ]);
-    }
-    print_table(
-        "Figure 21: L3-miss latency adder, ns (paper: TMCC 9.5/12.8, DyLeCT 2.9/5.8)",
-        &["setting", "benchmark", "tmcc_ns", "dylect_ns"],
-        &rows,
-    );
-
-    // Figures 22 + 23.
-    let mut rows = Vec::new();
-    let mut r22 = Vec::new();
-    let mut r23c = Vec::new();
-    let mut r23t = Vec::new();
-    for spec in &specs {
-        let t = get(spec.name, "high", "tmcc");
-        let d = get(spec.name, "high", "dylect");
-        let per_inst = d.traffic_per_kilo_instruction() / t.traffic_per_kilo_instruction();
-        let rate = |r: &RunReport, blocks: u64| blocks as f64 / r.elapsed.as_secs();
-        let cte = rate(d, d.dram.class_blocks(RequestClass::CteFetch))
-            / rate(t, t.dram.class_blocks(RequestClass::CteFetch));
-        let tot = rate(d, d.dram.total_blocks()) / rate(t, t.dram.total_blocks());
-        r22.push(per_inst);
-        r23c.push(cte);
-        r23t.push(tot);
-        rows.push(vec![
-            spec.name.into(),
-            format!("{per_inst:.4}"),
-            format!("{cte:.4}"),
-            format!("{tot:.4}"),
-        ]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        format!("{:.4}", geomean(&r22)),
-        format!("{:.4}", geomean(&r23c)),
-        format!("{:.4}", geomean(&r23t)),
-    ]);
-    print_table(
-        "Figures 22-23: DyLeCT/TMCC traffic at high compression (paper: per-inst 0.93, CTE < 1, total ~1.045)",
-        &["benchmark", "traffic_per_inst", "cte_traffic_rate", "total_traffic_rate"],
-        &rows,
-    );
-
-    // Figure 24.
-    let mut rows = Vec::new();
-    let mut xs = Vec::new();
-    for spec in &specs {
-        let base = get(spec.name, "high", "nocomp16");
-        let d = get(spec.name, "high", "dylect");
-        let ratio = d.energy_per_instruction_nj() / base.energy_per_instruction_nj();
-        xs.push(ratio);
-        rows.push(vec![spec.name.into(), format!("{ratio:.4}")]);
-    }
-    rows.push(vec!["GEOMEAN".into(), format!("{:.4}", geomean(&xs))]);
-    print_table(
-        "Figure 24: DRAM energy/instruction, DyLeCT(8rk)/NoComp(16rk) (paper: ~0.60)",
-        &["benchmark", "energy_ratio"],
-        &rows,
-    );
-
-    // Naive ablation.
-    let mut rows = Vec::new();
-    let mut xs = Vec::new();
-    for spec in &specs {
-        let t = get(spec.name, "high", "tmcc");
-        let n = get(spec.name, "high", "naive");
-        let v = n.speedup_over(t);
-        xs.push(v);
-        rows.push(vec![
-            spec.name.into(),
-            format!("{:.4}", n.mc.cte_hit_rate()),
-            format!("{v:.4}"),
-        ]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        String::new(),
-        format!("{:.4}", geomean(&xs)),
-    ]);
-    print_table(
-        "Naive dynamic-length ablation (paper: hit 0.76, perf 0.95x TMCC)",
-        &["benchmark", "naive_hit", "naive_over_tmcc"],
-        &rows,
-    );
-
-    // Figure 17 (bandwidth, no compression, low DRAM config).
-    let mut rows = Vec::new();
-    for spec in &specs {
-        let r = get(spec.name, "low", "nocomp");
-        rows.push(vec![
-            spec.name.into(),
-            format!("{:.4}", r.bus_utilization()),
-            format!("{:.2}", r.bus_utilization() * 25.6),
-        ]);
-    }
-    print_table(
-        "Figure 17: bandwidth utilization, no compression (paper: ~10-80%)",
-        &["benchmark", "utilization", "gb_per_s"],
-        &rows,
-    );
-
-    // ---- Phase 3: the sweeps --------------------------------------------
-    // Figure 3: 4 KB vs 2 MB pages (the 2 MB side is the matrix nocomp run).
-    let mut rows = Vec::new();
-    let mut xs = Vec::new();
-    for spec in &specs {
-        let small = get(spec.name, "low", "nocomp4k");
-        let huge = get(spec.name, "low", "nocomp");
-        let v = huge.speedup_over(small);
-        xs.push(v);
-        rows.push(vec![
-            spec.name.into(),
-            format!("{v:.3}"),
-            format!("{:.4}", small.tlb_miss_rate),
-            format!("{:.5}", huge.tlb_miss_rate),
-        ]);
-        eprintln!("[fig03] {}: {v:.2}x", spec.name);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        format!("{:.3}", geomean(&xs)),
-        String::new(),
-        String::new(),
-    ]);
-    print_table(
-        "Figure 3: 2MB over 4KB page speedup, no compression (paper: 1.75x avg)",
-        &["benchmark", "speedup", "tlb_miss_4k", "tlb_miss_2m"],
-        &rows,
-    );
-
-    // Figure 5: CTE cache size sweep (TMCC, high).
-    let mut rows = Vec::new();
-    for spec in &sweep_specs {
-        let mut row = vec![spec.name.to_owned()];
-        for (label, _) in cte_sizes {
-            let r = get(spec.name, "high", label);
-            row.push(format!("{:.4}", 1.0 - r.mc.cte_hit_rate()));
-        }
-        rows.push(row);
-    }
-    print_table(
-        "Figure 5: TMCC CTE miss rate vs cache size (paper mean: 0.34@64K -> 0.24@512K)",
-        &["benchmark", "64k", "128k", "256k", "512k"],
-        &rows,
-    );
-
-    // Figure 6: granularity sweep on the two fastest benchmarks.
-    let mut rows = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &g_specs {
-            let base = get(spec.name, setting_name(setting), "nocomp");
-            let mut row = vec![setting_name(setting).to_owned(), spec.name.to_owned()];
-            for (label, _) in granules {
-                let r = get(spec.name, setting_name(setting), label);
-                row.push(format!("{:.4}", r.speedup_over(base)));
-            }
-            rows.push(row);
-        }
-    }
-    print_table(
-        "Figure 6: TMCC at coarse granularity vs no compression (paper low: up with g; high: down with g)",
-        &["setting", "benchmark", "g4k", "g16k", "g64k", "g128k"],
-        &rows,
-    );
-
-    // Figure 25: group-size sweep.
-    let mut rows = Vec::new();
-    for spec in &g_specs {
-        let mut row = vec![spec.name.to_owned()];
-        for (label, _) in groups {
-            let r = get(spec.name, "high", label);
-            row.push(format!("{:.4}", r.occupancy.ml0_fraction_of_uncompressed()));
-        }
-        rows.push(row);
-    }
-    print_table(
-        "Figure 25: ML0 fraction of uncompressed vs group size, high compression (paper: ~0.66 at G=3, flat at G=7)",
-        &["benchmark", "g1", "g3", "g7", "g15"],
-        &rows,
-    );
-
+    figures::run(&figures::ALLFIGS);
     println!("# allfigs complete");
 }

@@ -1,76 +1,9 @@
-//! Figure 3: speedup of 2 MB huge pages over 4 KB standard pages on a
-//! system without memory compression.
+//! Figure 3: speedup of 2 MB huge pages over 4 KB pages without memory
+//! compression (paper: 1.75x average, ~20x fewer TLB misses).
 //!
-//! Paper (real Intel W-3175X system): 1.75x average speedup for these large
-//! irregular workloads, driven by ~20x fewer TLB misses.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_cpu::PageSizeMode;
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig03_hugepages [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for pages in [PageSizeMode::Standard4K, PageSizeMode::Huge2M] {
-            keys.push(
-                RunKey::new(
-                    spec.clone(),
-                    SchemeKind::NoCompression,
-                    CompressionSetting::Low,
-                    mode,
-                )
-                .with_pages(pages),
-            );
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut miss_ratios = Vec::new();
-    for (spec, pair) in specs.iter().zip(reports.chunks_exact(2)) {
-        let [small, huge] = pair else {
-            unreachable!("chunks of 2");
-        };
-        let speedup = huge.speedup_over(small);
-        let miss_ratio = if huge.tlb_miss_rate > 0.0 {
-            small.tlb_miss_rate / huge.tlb_miss_rate
-        } else {
-            f64::INFINITY
-        };
-        speedups.push(speedup);
-        if miss_ratio.is_finite() {
-            miss_ratios.push(miss_ratio);
-        }
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{speedup:.3}"),
-            format!("{:.4}", small.tlb_miss_rate),
-            format!("{:.4}", huge.tlb_miss_rate),
-            format!("{miss_ratio:.1}"),
-        ]);
-        eprintln!(
-            "[fig03] {}: 2M/4K speedup {speedup:.2}x, TLB miss {:.3} -> {:.4}",
-            spec.name, small.tlb_miss_rate, huge.tlb_miss_rate
-        );
-    }
-    print_table(
-        "Figure 3: huge-page speedup over 4KB pages, no compression (paper: 1.75x avg, ~20x fewer TLB misses)",
-        &[
-            "benchmark",
-            "speedup_2m_over_4k",
-            "tlb_miss_4k",
-            "tlb_miss_2m",
-            "tlb_miss_reduction",
-        ],
-        &rows,
-    );
-    println!("# geomean speedup: {:.3}", geomean(&speedups));
-    println!(
-        "# geomean TLB miss reduction: {:.1}x",
-        geomean(&miss_ratios)
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

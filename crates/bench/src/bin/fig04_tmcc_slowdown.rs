@@ -1,54 +1,9 @@
-//! Figure 4: TMCC's performance normalized to a bigger memory system with
-//! no compression, under 2 MB huge pages.
+//! Figure 4: TMCC normalized to a bigger memory system without
+//! compression (paper: 14% slowdown at low compression, 18% at high).
 //!
-//! Paper: 14% average slowdown at low compression, 18% at high.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig04_tmcc_slowdown [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for scheme in [SchemeKind::NoCompression, SchemeKind::tmcc()] {
-                keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut chunks = reports.chunks_exact(2);
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut normalized = Vec::new();
-        for spec in &specs {
-            let [base, tmcc] = chunks.next().expect("report per key") else {
-                unreachable!("chunks of 2");
-            };
-            let perf = tmcc.speedup_over(base);
-            normalized.push(perf);
-            rows.push(vec![
-                format!("{setting:?}"),
-                spec.name.to_owned(),
-                format!("{perf:.4}"),
-            ]);
-            eprintln!(
-                "[fig04] {setting:?} {}: {perf:.3} of no-compression",
-                spec.name
-            );
-        }
-        rows.push(vec![
-            format!("{setting:?}"),
-            "GEOMEAN".to_owned(),
-            format!("{:.4}", geomean(&normalized)),
-        ]);
-    }
-    print_table(
-        "Figure 4: TMCC normalized to no-compression (paper: 0.86 low, 0.82 high)",
-        &["setting", "benchmark", "tmcc_normalized_perf"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,54 +1,9 @@
-//! Figure 5: TMCC CTE cache miss rate as the cache size is swept from
-//! 64 KB to 512 KB, under 2 MB huge pages.
+//! Figure 5: TMCC CTE cache miss rate from 64 KB to 512 KB (paper: only
+//! 34% -> 24% on average; capacity alone cannot buy reach).
 //!
-//! Paper: octupling the cache from 64 KB to 512 KB only reduces the average
-//! miss rate from 34% to 24% — capacity alone cannot buy reach.
-
-use dylect_bench::{print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig05_cte_sweep [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let sizes = [64u64, 128, 256, 512];
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for kb in sizes {
-            keys.push(RunKey::new(
-                spec.clone(),
-                SchemeKind::Tmcc {
-                    granule_pages: 1,
-                    cte_cache_bytes: kb * 1024,
-                },
-                CompressionSetting::High,
-                mode,
-            ));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut means = vec![0.0f64; sizes.len()];
-    for (spec, row_reports) in specs.iter().zip(reports.chunks_exact(sizes.len())) {
-        let mut row = vec![spec.name.to_owned()];
-        for (i, (kb, r)) in sizes.iter().zip(row_reports).enumerate() {
-            let miss = 1.0 - r.mc.cte_hit_rate();
-            means[i] += miss;
-            row.push(format!("{miss:.4}"));
-            eprintln!("[fig05] {} @{kb}KB: miss {miss:.3}", spec.name);
-        }
-        rows.push(row);
-    }
-    let n = specs.len() as f64;
-    rows.push(
-        std::iter::once("MEAN".to_owned())
-            .chain(means.iter().map(|m| format!("{:.4}", m / n)))
-            .collect(),
-    );
-    print_table(
-        "Figure 5: TMCC CTE cache miss rate vs size, high compression (paper mean: 0.34 @64K -> 0.24 @512K)",
-        &["benchmark", "miss_64k", "miss_128k", "miss_256k", "miss_512k"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

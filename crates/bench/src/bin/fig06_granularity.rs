@@ -1,74 +1,9 @@
-//! Figure 6: TMCC at 4 KB / 16 KB / 64 KB / 128 KB compression
-//! granularities, normalized to no compression.
+//! Figure 6: TMCC at 4/16/64/128 KB granularity, normalized to no
+//! compression (paper: coarser helps at low compression, hurts at high).
 //!
-//! Paper: at low compression, coarser granules help (0.86 → 0.94) because
-//! each CTE reaches further; at high compression they hurt badly
-//! (0.82 → 0.54) because every expansion moves and decompresses the whole
-//! granule.
-
-use dylect_bench::{geomean, print_table, reduced_suite, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig06_granularity [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let granules = [1u64, 4, 16, 32]; // pages: 4K, 16K, 64K, 128K
-    let specs = if std::env::args().any(|a| a == "--all") {
-        suite()
-    } else {
-        reduced_suite()
-    };
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            keys.push(RunKey::new(
-                spec.clone(),
-                SchemeKind::NoCompression,
-                setting,
-                mode,
-            ));
-            for g in granules {
-                keys.push(RunKey::new(
-                    spec.clone(),
-                    SchemeKind::Tmcc {
-                        granule_pages: g,
-                        cte_cache_bytes: 128 * 1024,
-                    },
-                    setting,
-                    mode,
-                ));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut chunks = reports.chunks_exact(1 + granules.len());
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut per_granule: Vec<Vec<f64>> = vec![Vec::new(); granules.len()];
-        for spec in &specs {
-            let group = chunks.next().expect("report per key");
-            let base = &group[0];
-            let mut row = vec![format!("{setting:?}"), spec.name.to_owned()];
-            for (i, (g, r)) in granules.iter().zip(&group[1..]).enumerate() {
-                let perf = r.speedup_over(base);
-                per_granule[i].push(perf);
-                row.push(format!("{perf:.4}"));
-                eprintln!("[fig06] {setting:?} {} @{}KB: {perf:.3}", spec.name, g * 4);
-            }
-            rows.push(row);
-        }
-        rows.push(
-            [format!("{setting:?}"), "GEOMEAN".to_owned()]
-                .into_iter()
-                .chain(per_granule.iter().map(|v| format!("{:.4}", geomean(v))))
-                .collect(),
-        );
-    }
-    print_table(
-        "Figure 6: TMCC at coarse granularity, normalized to no compression \
-         (paper low: 0.86/0.905/0.93/0.94; high: 0.82/0.77/0.66/0.54)",
-        &["setting", "benchmark", "g4k", "g16k", "g64k", "g128k"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

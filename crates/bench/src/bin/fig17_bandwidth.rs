@@ -1,54 +1,9 @@
-//! Figure 17: memory bandwidth utilization of the evaluated benchmarks on
-//! a conventional system without compression.
+//! Figure 17: memory bandwidth utilization without compression
+//! (paper: roughly 10-80% of the DDR4-3200 channel).
 //!
-//! Paper: utilizations vary widely across the suite (roughly 10–80% of the
-//! DDR4-3200 channel), establishing that the workloads are memory-intensive
-//! but not uniformly bandwidth-bound.
-
-use dylect_bench::{print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig17_bandwidth [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let keys = specs
-        .iter()
-        .map(|spec| {
-            RunKey::new(
-                spec.clone(),
-                SchemeKind::NoCompression,
-                CompressionSetting::Low,
-                mode,
-            )
-        })
-        .collect();
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    for (spec, r) in specs.iter().zip(&reports) {
-        let util = r.bus_utilization();
-        let gbps = util * 25.6;
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{util:.4}"),
-            format!("{gbps:.2}"),
-            format!("{:.1}", r.traffic_per_kilo_instruction()),
-        ]);
-        eprintln!(
-            "[fig17] {}: {:.1}% ({gbps:.1} GB/s)",
-            spec.name,
-            util * 100.0
-        );
-    }
-    print_table(
-        "Figure 17: DRAM bandwidth utilization, no compression (paper: ~10-80% across the suite)",
-        &[
-            "benchmark",
-            "bus_utilization",
-            "gb_per_s",
-            "blocks_per_kiloinstruction",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

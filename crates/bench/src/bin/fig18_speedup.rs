@@ -1,71 +1,9 @@
-//! Figure 18: DyLeCT performance normalized to TMCC at low and high
-//! compression, plus the always-hit upper bound.
+//! Figure 18: DyLeCT over TMCC, with the always-hit upper bound
+//! (paper: +11% at low compression, +9.5% at high).
 //!
-//! Paper: +11% at low compression, +9.5% at high (10.25% overall);
-//! DyLeCT tracks the upper bound closely; canneal benefits most at low
-//! compression (+17%) and drops to +10% at high.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig18_speedup [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for scheme in [
-                SchemeKind::tmcc(),
-                SchemeKind::dylect(),
-                SchemeKind::DylectAlwaysHit { group_size: 3 },
-            ] {
-                keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut chunks = reports.chunks_exact(3);
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut per_setting = Vec::new();
-        for spec in &specs {
-            let [tmcc, dylect, upper] = chunks.next().expect("report per key") else {
-                unreachable!("chunks of 3");
-            };
-            let s = dylect.speedup_over(tmcc);
-            let u = upper.speedup_over(tmcc);
-            per_setting.push(s);
-            speedups.push(s);
-            rows.push(vec![
-                format!("{setting:?}"),
-                spec.name.to_owned(),
-                format!("{s:.4}"),
-                format!("{u:.4}"),
-            ]);
-            eprintln!(
-                "[fig18] {setting:?} {}: dylect {s:.3}x, upper {u:.3}x",
-                spec.name
-            );
-        }
-        rows.push(vec![
-            format!("{setting:?}"),
-            "GEOMEAN".to_owned(),
-            format!("{:.4}", geomean(&per_setting)),
-            String::new(),
-        ]);
-    }
-    print_table(
-        "Figure 18: DyLeCT speedup over TMCC (paper: 1.11 low, 1.095 high, 1.1025 avg)",
-        &[
-            "setting",
-            "benchmark",
-            "dylect_over_tmcc",
-            "upper_bound_over_tmcc",
-        ],
-        &rows,
-    );
-    println!("# overall geomean speedup: {:.4}", geomean(&speedups));
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

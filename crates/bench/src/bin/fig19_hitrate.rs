@@ -1,77 +1,9 @@
-//! Figure 19: CTE cache hit rates for TMCC and DyLeCT at low and high
-//! compression, with DyLeCT's hits split between pre-gathered and unified
-//! blocks.
+//! Figure 19: CTE cache hit rates of TMCC and DyLeCT, with DyLeCT's hits
+//! split into pre-gathered and unified blocks (paper: 67% -> 91% at high).
 //!
-//! Paper: low — TMCC 70% vs DyLeCT 96%; high — TMCC 67% vs DyLeCT 91%
-//! (77% from pre-gathered blocks + 14% from unified blocks).
-
-use dylect_bench::{print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig19_hitrate [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-                keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut chunks = reports.chunks_exact(2);
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut sums = [0.0f64; 4];
-        let mut n = 0.0;
-        for spec in &specs {
-            let [tmcc, dylect] = chunks.next().expect("report per key") else {
-                unreachable!("chunks of 2");
-            };
-            let t = tmcc.mc.cte_hit_rate();
-            let d = dylect.mc.cte_hit_rate();
-            let pg = dylect.mc.pregathered_hit_rate();
-            let uni = dylect.mc.unified_hit_rate();
-            sums[0] += t;
-            sums[1] += d;
-            sums[2] += pg;
-            sums[3] += uni;
-            n += 1.0;
-            rows.push(vec![
-                format!("{setting:?}"),
-                spec.name.to_owned(),
-                format!("{t:.4}"),
-                format!("{d:.4}"),
-                format!("{pg:.4}"),
-                format!("{uni:.4}"),
-            ]);
-            eprintln!(
-                "[fig19] {setting:?} {}: tmcc {t:.3}, dylect {d:.3} (pg {pg:.3} + uni {uni:.3})",
-                spec.name
-            );
-        }
-        rows.push(vec![
-            format!("{setting:?}"),
-            "MEAN".to_owned(),
-            format!("{:.4}", sums[0] / n),
-            format!("{:.4}", sums[1] / n),
-            format!("{:.4}", sums[2] / n),
-            format!("{:.4}", sums[3] / n),
-        ]);
-    }
-    print_table(
-        "Figure 19: CTE cache hit rate (paper: low 0.70 vs 0.96; high 0.67 vs 0.91 = 0.77 pg + 0.14 uni)",
-        &[
-            "setting",
-            "benchmark",
-            "tmcc_hit",
-            "dylect_hit",
-            "dylect_pregathered",
-            "dylect_unified",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

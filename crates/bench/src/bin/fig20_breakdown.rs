@@ -1,64 +1,9 @@
-//! Figure 20: DRAM breakdown into ML0 / ML1 / ML2 under DyLeCT at low and
+//! Figure 20: DRAM breakdown into ML0/ML1/ML2 under DyLeCT at low and
 //! high compression.
 //!
-//! Paper: at low compression ML0 "scales up gracefully" to most of DRAM;
-//! at high compression more pages sit compressed in ML2 and ML0 shrinks.
-
-use dylect_bench::{print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig20_breakdown [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            keys.push(RunKey::new(
-                spec.clone(),
-                SchemeKind::dylect(),
-                setting,
-                mode,
-            ));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut iter = reports.iter();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            let r = iter.next().expect("report per key");
-            let o = r.occupancy;
-            let total = (o.ml0_pages + o.ml1_pages + o.ml2_pages) as f64;
-            rows.push(vec![
-                format!("{setting:?}"),
-                spec.name.to_owned(),
-                format!("{:.4}", o.ml0_pages as f64 / total),
-                format!("{:.4}", o.ml1_pages as f64 / total),
-                format!("{:.4}", o.ml2_pages as f64 / total),
-                format!("{:.4}", o.ml0_fraction_of_uncompressed()),
-            ]);
-            eprintln!(
-                "[fig20] {setting:?} {}: ML0 {} ML1 {} ML2 {} (ml0/unc {:.2})",
-                spec.name,
-                o.ml0_pages,
-                o.ml1_pages,
-                o.ml2_pages,
-                o.ml0_fraction_of_uncompressed()
-            );
-        }
-    }
-    print_table(
-        "Figure 20: OS-page breakdown across memory levels under DyLeCT",
-        &[
-            "setting",
-            "benchmark",
-            "ml0_frac",
-            "ml1_frac",
-            "ml2_frac",
-            "ml0_of_uncompressed",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

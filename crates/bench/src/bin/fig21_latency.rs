@@ -1,59 +1,9 @@
-//! Figure 21: how much TMCC and DyLeCT increase L3 miss latency over a
-//! system with no compression (nanoseconds).
+//! Figure 21: L3-miss latency that TMCC and DyLeCT add over no
+//! compression (paper: TMCC 9.5/12.8 ns, DyLeCT 2.9/5.8 ns).
 //!
-//! Paper: DyLeCT adds 2.9 ns (low) / 5.8 ns (high) on average; TMCC adds
-//! 9.5 ns / 12.8 ns.
-
-use dylect_bench::{print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig21_latency [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-                keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut chunks = reports.chunks_exact(2);
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut sums = [0.0f64; 2];
-        let mut n = 0.0;
-        for spec in &specs {
-            let [tmcc, dylect] = chunks.next().expect("report per key") else {
-                unreachable!("chunks of 2");
-            };
-            sums[0] += tmcc.l3_miss_overhead_ns;
-            sums[1] += dylect.l3_miss_overhead_ns;
-            n += 1.0;
-            rows.push(vec![
-                format!("{setting:?}"),
-                spec.name.to_owned(),
-                format!("{:.2}", tmcc.l3_miss_overhead_ns),
-                format!("{:.2}", dylect.l3_miss_overhead_ns),
-            ]);
-            eprintln!(
-                "[fig21] {setting:?} {}: tmcc +{:.1}ns, dylect +{:.1}ns",
-                spec.name, tmcc.l3_miss_overhead_ns, dylect.l3_miss_overhead_ns
-            );
-        }
-        rows.push(vec![
-            format!("{setting:?}"),
-            "MEAN".to_owned(),
-            format!("{:.2}", sums[0] / n),
-            format!("{:.2}", sums[1] / n),
-        ]);
-    }
-    print_table(
-        "Figure 21: L3 miss latency adder in ns (paper: TMCC 9.5/12.8, DyLeCT 2.9/5.8)",
-        &["setting", "benchmark", "tmcc_adder_ns", "dylect_adder_ns"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

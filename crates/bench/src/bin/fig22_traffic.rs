@@ -1,55 +1,9 @@
-//! Figure 22: total memory traffic per instruction for DyLeCT normalized
-//! to TMCC.
+//! Figure 22: memory traffic per instruction, DyLeCT over TMCC (paper:
+//! 0.93). Prints the combined Figures 22-23 table.
 //!
-//! Paper: 93% on average — DyLeCT's CTE-traffic savings outweigh its
-//! migration and dual-fetch costs per unit of work.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig22_traffic [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let setting = CompressionSetting::High;
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-            keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    for (spec, pair) in specs.iter().zip(reports.chunks_exact(2)) {
-        let [tmcc, dylect] = pair else {
-            unreachable!("chunks of 2");
-        };
-        let ratio = dylect.traffic_per_kilo_instruction() / tmcc.traffic_per_kilo_instruction();
-        ratios.push(ratio);
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{:.2}", tmcc.traffic_per_kilo_instruction()),
-            format!("{:.2}", dylect.traffic_per_kilo_instruction()),
-            format!("{ratio:.4}"),
-        ]);
-        eprintln!("[fig22] {}: {ratio:.3}", spec.name);
-    }
-    rows.push(vec![
-        "GEOMEAN".to_owned(),
-        String::new(),
-        String::new(),
-        format!("{:.4}", geomean(&ratios)),
-    ]);
-    print_table(
-        "Figure 22: traffic per instruction, DyLeCT / TMCC (paper: 0.93 avg)",
-        &[
-            "benchmark",
-            "tmcc_blocks_per_ki",
-            "dylect_blocks_per_ki",
-            "ratio",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

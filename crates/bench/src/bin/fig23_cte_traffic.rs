@@ -1,68 +1,9 @@
-//! Figure 23: CTE-fetch traffic and absolute total traffic for DyLeCT
-//! normalized to TMCC (fixed simulated window, so a faster scheme does
-//! more work and can move more bytes in total).
+//! Figure 23: CTE traffic and total traffic, DyLeCT over TMCC (paper: CTE
+//! traffic < 1, total ~1.045). Prints the combined Figures 22-23 table.
 //!
-//! Paper: CTE traffic shrinks despite the dual fetch per miss (misses are
-//! much rarer); total traffic is ~4.5% higher purely because DyLeCT commits
-//! more instructions in the window.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig23_cte_traffic [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let setting = CompressionSetting::High;
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-            keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut cte_ratios = Vec::new();
-    let mut total_ratios = Vec::new();
-    for (spec, pair) in specs.iter().zip(reports.chunks_exact(2)) {
-        let [tmcc, dylect] = pair else {
-            unreachable!("chunks of 2");
-        };
-        // Normalize traffic *rates* (blocks per simulated second) so the
-        // comparison matches the paper's fixed-window methodology.
-        let rate = |r: &dylect_sim::RunReport, blocks: u64| blocks as f64 / r.elapsed.as_secs();
-        let cte_ratio = rate(
-            dylect,
-            dylect
-                .dram
-                .class_blocks(dylect_dram::RequestClass::CteFetch),
-        ) / rate(
-            tmcc,
-            tmcc.dram.class_blocks(dylect_dram::RequestClass::CteFetch),
-        );
-        let total_ratio =
-            rate(dylect, dylect.dram.total_blocks()) / rate(tmcc, tmcc.dram.total_blocks());
-        cte_ratios.push(cte_ratio);
-        total_ratios.push(total_ratio);
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{cte_ratio:.4}"),
-            format!("{total_ratio:.4}"),
-        ]);
-        eprintln!(
-            "[fig23] {}: cte {cte_ratio:.3}, total {total_ratio:.3}",
-            spec.name
-        );
-    }
-    rows.push(vec![
-        "GEOMEAN".to_owned(),
-        format!("{:.4}", geomean(&cte_ratios)),
-        format!("{:.4}", geomean(&total_ratios)),
-    ]);
-    print_table(
-        "Figure 23: DyLeCT traffic normalized to TMCC (paper: CTE traffic < 1.0, total ~1.045)",
-        &["benchmark", "cte_traffic_ratio", "total_traffic_ratio"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

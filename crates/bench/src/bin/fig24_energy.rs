@@ -1,65 +1,9 @@
-//! Figure 24: DRAM energy per instruction of DyLeCT (8 ranks) normalized
-//! to a 2x-bigger conventional system without compression (16 ranks).
+//! Figure 24: DRAM energy per instruction, DyLeCT on 8 ranks over no
+//! compression on 16 ranks (paper: ~0.60).
 //!
-//! Paper: ~60% on average — halving the DRAM chips halves the dominant
-//! idle (refresh + background) energy.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig24_energy [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let setting = CompressionSetting::High;
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        // The bigger no-compression system uses twice the ranks (paper §VI).
-        keys.push(
-            RunKey::new(spec.clone(), SchemeKind::NoCompression, setting, mode).with_ranks(16, 2),
-        );
-        keys.push(RunKey::new(
-            spec.clone(),
-            SchemeKind::dylect(),
-            setting,
-            mode,
-        ));
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    for (spec, pair) in specs.iter().zip(reports.chunks_exact(2)) {
-        let [base, dylect] = pair else {
-            unreachable!("chunks of 2");
-        };
-        let ratio = dylect.energy_per_instruction_nj() / base.energy_per_instruction_nj();
-        ratios.push(ratio);
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{:.3}", base.energy_per_instruction_nj()),
-            format!("{:.3}", dylect.energy_per_instruction_nj()),
-            format!("{ratio:.4}"),
-            format!("{:.3}", dylect.energy.idle_fraction()),
-        ]);
-        eprintln!("[fig24] {}: {ratio:.3} of no-compression", spec.name);
-    }
-    rows.push(vec![
-        "GEOMEAN".to_owned(),
-        String::new(),
-        String::new(),
-        format!("{:.4}", geomean(&ratios)),
-        String::new(),
-    ]);
-    print_table(
-        "Figure 24: DRAM energy per instruction, DyLeCT(8 ranks)/NoComp(16 ranks) (paper: ~0.60)",
-        &[
-            "benchmark",
-            "nocomp_nj_per_inst",
-            "dylect_nj_per_inst",
-            "ratio",
-            "dylect_idle_fraction",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

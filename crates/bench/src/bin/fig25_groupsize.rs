@@ -1,61 +1,9 @@
-//! Figure 25: fraction of uncompressed pages in ML0 as the DRAM page group
-//! size varies (1, 3, 7, 15 pages — i.e. 1- to 4-bit short CTEs), at high
-//! compression.
+//! Figure 25: ML0 fraction of uncompressed pages vs DRAM page-group size
+//! (paper: ~0.66 at G=3, flat from G=7).
 //!
-//! Paper: the fraction grows with group size but saturates — group size 3
-//! (2-bit CTEs) reaches ~66% and 7 adds little, so 2 bits is the sweet
-//! spot (3-bit CTEs would halve the pre-gathered block's reach for no ML0
-//! gain).
-
-use dylect_bench::{print_table, reduced_suite, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `fig25_groupsize [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let groups = [1u64, 3, 7, 15];
-    let specs = if std::env::args().any(|a| a == "--all") {
-        suite()
-    } else {
-        reduced_suite()
-    };
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for &g in &groups {
-            keys.push(RunKey::new(
-                spec.clone(),
-                SchemeKind::Dylect {
-                    group_size: g,
-                    cte_cache_bytes: 128 * 1024,
-                },
-                CompressionSetting::High,
-                mode,
-            ));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut means = vec![0.0f64; groups.len()];
-    for (spec, row_reports) in specs.iter().zip(reports.chunks_exact(groups.len())) {
-        let mut row = vec![spec.name.to_owned()];
-        for (i, (&g, r)) in groups.iter().zip(row_reports).enumerate() {
-            let frac = r.occupancy.ml0_fraction_of_uncompressed();
-            means[i] += frac;
-            row.push(format!("{frac:.4}"));
-            eprintln!("[fig25] {} G={g}: ML0 fraction {frac:.3}", spec.name);
-        }
-        rows.push(row);
-    }
-    let n = specs.len() as f64;
-    rows.push(
-        std::iter::once("MEAN".to_owned())
-            .chain(means.iter().map(|m| format!("{:.4}", m / n)))
-            .collect(),
-    );
-    print_table(
-        "Figure 25: ML0 fraction of uncompressed pages vs group size, high compression (paper: ~0.66 at G=3, similar at G=7)",
-        &["benchmark", "g1", "g3", "g7", "g15"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

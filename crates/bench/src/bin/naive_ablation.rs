@@ -1,82 +1,9 @@
-//! §IV-A3 ablation: the naive dynamic-length design (direct ML2→ML0
-//! expansion with double page movement + two split 64 KB CTE caches)
-//! against TMCC and DyLeCT at high compression.
+//! §IV-A3: the naive dynamic-length strawman against TMCC at high
+//! compression (paper: 76% CTE hit rate, 5% slower than TMCC).
 //!
-//! Paper: the naive design's CTE hit rate is 76% — barely above TMCC's
-//! 67% — and its double page movement makes it 5% *slower* than TMCC,
-//! while DyLeCT's two fixes (gradual promotion + pre-gathered table in a
-//! single cache) turn the same idea into a 9.5% win.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::CompressionSetting;
+//! Prints exactly its section of `allfigs`; the figure is defined in
+//! `dylect_bench::figures`. Usage: `naive_ablation [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let setting = CompressionSetting::High;
-    let specs = suite();
-    let mut keys = Vec::new();
-    for spec in &specs {
-        for scheme in [
-            SchemeKind::tmcc(),
-            SchemeKind::NaiveDynamic,
-            SchemeKind::dylect(),
-        ] {
-            keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut naive_speedups = Vec::new();
-    let mut dylect_speedups = Vec::new();
-    let mut naive_hits = Vec::new();
-    for (spec, trio) in specs.iter().zip(reports.chunks_exact(3)) {
-        let [tmcc, naive, dylect] = trio else {
-            unreachable!("chunks of 3");
-        };
-        let sn = naive.speedup_over(tmcc);
-        let sd = dylect.speedup_over(tmcc);
-        naive_speedups.push(sn);
-        dylect_speedups.push(sd);
-        naive_hits.push(naive.mc.cte_hit_rate());
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{:.4}", tmcc.mc.cte_hit_rate()),
-            format!("{:.4}", naive.mc.cte_hit_rate()),
-            format!("{:.4}", dylect.mc.cte_hit_rate()),
-            format!("{sn:.4}"),
-            format!("{sd:.4}"),
-        ]);
-        eprintln!(
-            "[naive] {}: hit tmcc {:.2} naive {:.2} dylect {:.2}; perf naive {sn:.3}x dylect {sd:.3}x",
-            spec.name,
-            tmcc.mc.cte_hit_rate(),
-            naive.mc.cte_hit_rate(),
-            dylect.mc.cte_hit_rate()
-        );
-    }
-    rows.push(vec![
-        "GEOMEAN".to_owned(),
-        String::new(),
-        format!(
-            "{:.4}",
-            naive_hits.iter().sum::<f64>() / naive_hits.len() as f64
-        ),
-        String::new(),
-        format!("{:.4}", geomean(&naive_speedups)),
-        format!("{:.4}", geomean(&dylect_speedups)),
-    ]);
-    print_table(
-        "Naive dynamic-length ablation, high compression (paper: naive hit 0.76, perf 0.95x TMCC; DyLeCT 1.095x)",
-        &[
-            "benchmark",
-            "tmcc_hit",
-            "naive_hit",
-            "dylect_hit",
-            "naive_over_tmcc",
-            "dylect_over_tmcc",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

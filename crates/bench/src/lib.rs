@@ -3,14 +3,15 @@
 //! Every `src/bin/*` binary regenerates one table or figure of the DyLeCT
 //! paper. They share this harness: it builds the paper's system (Table 3)
 //! for a benchmark × scheme × compression-setting combination, runs
-//! warmup + measurement, and returns the [`RunReport`].
+//! warmup + measurement, and returns the [`RunReport`]. The figures
+//! `allfigs` prints are each defined once, in [`figures`]; their per-figure
+//! binaries print exactly their section of `allfigs`.
 //!
 //! Runs are declared as a list of [`RunKey`]s and executed by the
 //! [`runner`] module: independent simulations run in parallel (one worker
 //! per core, `DYLECT_JOBS=n` to override) and finished reports are cached
-//! under `results/cache/` so binaries sharing matrix cells — `allfigs`
-//! computes almost every cell the per-figure binaries need — never
-//! re-simulate them. See [`runner`] for the cache/invalidation story.
+//! under `results/cache/`, so a per-figure binary run after `allfigs`
+//! re-simulates nothing. See [`runner`] for the cache/invalidation story.
 //!
 //! Two effort levels exist (the simulator is deterministic, so results are
 //! exactly reproducible at either, parallel or not):
@@ -19,11 +20,13 @@
 //!   1 M measured operations — minutes per figure;
 //! - **quick** (`--quick` or `DYLECT_QUICK=1`): 1/32-scale, 2 cores,
 //!   shorter windows — seconds per figure, noisier numbers.
+//!
+//! [`RunReport`]: dylect_sim::RunReport
 
+pub mod figures;
 pub mod runner;
 
-use dylect_cpu::PageSizeMode;
-use dylect_sim::{RunReport, SchemeKind, SystemConfig};
+use dylect_sim::{SchemeKind, SystemConfig};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
 pub use runner::{run_jobs, run_matrix, setting_label, Job, RunKey, Runner};
@@ -118,33 +121,6 @@ pub fn warmup_for(spec: &BenchmarkSpec, mode: Mode) -> u64 {
         .max(spec.footprint_pages(effective_scale(spec, mode)) * 12)
 }
 
-/// Runs one benchmark × scheme × setting and returns the report.
-///
-/// This executes directly, with no pool or cache — for single ad-hoc runs
-/// and tests. Binaries should declare [`RunKey`]s and use [`run_matrix`].
-pub fn run_one(
-    spec: &BenchmarkSpec,
-    scheme: SchemeKind,
-    setting: CompressionSetting,
-    mode: Mode,
-) -> RunReport {
-    RunKey::new(spec.clone(), scheme, setting, mode).execute()
-}
-
-/// Like [`run_one`] but with an explicit page-size mode (Figure 3 compares
-/// 4 KB against 2 MB pages).
-pub fn run_one_with_pages(
-    spec: &BenchmarkSpec,
-    scheme: SchemeKind,
-    setting: CompressionSetting,
-    mode: Mode,
-    pages: PageSizeMode,
-) -> RunReport {
-    RunKey::new(spec.clone(), scheme, setting, mode)
-        .with_pages(pages)
-        .execute()
-}
-
 /// Geometric mean of a non-empty sequence (0 if empty).
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -153,15 +129,21 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Prints a TSV table with a title line (the harness output format; rows
-/// paste directly into plotting scripts).
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    println!("{}", header.join("\t"));
+/// Formats a TSV table with a title line and a trailing blank line (the
+/// harness output format; rows paste directly into plotting scripts).
+pub fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = format!("# {title}\n{}\n", header.join("\t"));
     for row in rows {
-        println!("{}", row.join("\t"));
+        out.push_str(&row.join("\t"));
+        out.push('\n');
     }
-    println!();
+    out.push('\n');
+    out
+}
+
+/// Prints a table in the harness output format (see [`format_table`]).
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", format_table(title, header, rows));
 }
 
 /// The benchmark names in the paper's presentation order. With `--all` on
@@ -176,13 +158,8 @@ pub fn suite() -> Vec<BenchmarkSpec> {
     }
 }
 
-/// Always the full twelve-benchmark suite.
-pub fn full_suite() -> Vec<BenchmarkSpec> {
-    BenchmarkSpec::suite()
-}
-
-/// A reduced subset for expensive sweeps (one representative per suite).
-pub fn reduced_suite() -> Vec<BenchmarkSpec> {
+/// The reduced representative subset (one benchmark per suite).
+fn reduced_suite() -> Vec<BenchmarkSpec> {
     ["bfs", "mcf", "omnetpp", "canneal"]
         .iter()
         .map(|n| BenchmarkSpec::by_name(n).expect("known benchmark"))

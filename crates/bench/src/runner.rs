@@ -1,8 +1,7 @@
 //! Parallel, cached execution of the paper-reproduction run matrix.
 //!
-//! Every figure/table binary used to call [`run_one`] in nested loops,
-//! re-simulating the shared benchmark × scheme × compression matrix from
-//! scratch, strictly sequentially. This module replaces that with:
+//! The figure/table binaries share most of their runs: the benchmark ×
+//! scheme × compression matrix. This module runs them through:
 //!
 //! - **[`RunKey`]**: a declarative description of one simulation (benchmark,
 //!   scheme, compression setting, effort [`Mode`], plus the page-size and
@@ -20,8 +19,6 @@
 //!   reuses the shared matrix instead of re-simulating it. Pass `--no-cache`
 //!   (or `DYLECT_NO_CACHE=1`) to ignore existing entries, or delete the
 //!   directory.
-//!
-//! [`run_one`]: crate::run_one
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -217,7 +214,7 @@ impl RunKey {
         if let Ok(Some(at)) = digest::perturb_from_env() {
             sys.arm_perturb(Some(at));
         }
-        let Some(dir) = checkpoint_dir_from_env() else {
+        let Some(dir) = dir_from_env("DYLECT_CHECKPOINT_DIR") else {
             let report = sys.run(warmup, self.mode.measure_ops);
             return (report, sys.take_digests());
         };
@@ -320,9 +317,7 @@ fn write_digest_artifact(stem: &str, digests: &[DigestRecord]) {
     if digests.is_empty() {
         return;
     }
-    let dir = std::env::var("DYLECT_CACHE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results/cache"));
+    let dir = cache_dir_from_env();
     let mut body = String::new();
     for d in digests {
         body.push_str(&d.to_jsonl_line());
@@ -446,29 +441,17 @@ pub fn jobs_from_env() -> Option<usize> {
     or_usage_exit(parse_jobs(std::env::var("DYLECT_JOBS").ok().as_deref()))
 }
 
-/// Parses a `DYLECT_CHECKPOINT_DIR` value: unset is `Ok(None)` (warmup
-/// checkpointing off), a non-empty path enables it. An empty or blank
-/// value is a usage error — it would silently checkpoint into the current
-/// directory's root, so a mis-exported variable must fail loudly.
-pub fn parse_checkpoint_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    if raw.trim().is_empty() {
-        return Err(
-            "DYLECT_CHECKPOINT_DIR must be a directory path, got an empty value \
-             (unset it to disable warmup checkpoints)"
-                .to_owned(),
-        );
-    }
-    Ok(Some(PathBuf::from(raw)))
+/// The directory variable `name` from the live environment, strict-parsed
+/// by [`env::parse_dir`]; a blank value prints a usage message and exits
+/// with status 2.
+fn dir_from_env(name: &str) -> Option<PathBuf> {
+    or_usage_exit(env::parse_dir(name, std::env::var(name).ok().as_deref()))
 }
 
-/// [`parse_checkpoint_dir`] against the live environment; a malformed
-/// value prints a usage message and exits with status 2.
-pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var("DYLECT_CHECKPOINT_DIR").ok();
-    or_usage_exit(parse_checkpoint_dir(raw.as_deref()))
+/// Where finished reports are cached: `DYLECT_CACHE_DIR`, by default
+/// `results/cache`.
+fn cache_dir_from_env() -> PathBuf {
+    dir_from_env("DYLECT_CACHE_DIR").unwrap_or_else(|| PathBuf::from("results/cache"))
 }
 
 /// Reads the `warmup_secs=` sidecar written next to a checkpoint, so a
@@ -476,31 +459,6 @@ pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
 fn checkpoint_warmup_secs(dir: &Path, stem: &str) -> Option<f64> {
     let text = fs::read_to_string(dir.join(format!("{stem}.meta"))).ok()?;
     text.strip_prefix("warmup_secs=")?.trim().parse().ok()
-}
-
-/// Parses a `DYLECT_PROGRESS_DIR` value: unset is `Ok(None)` (the caller
-/// picks its default), a non-empty path overrides where live-progress
-/// marker files land. A blank value is a usage error, same contract as
-/// `DYLECT_CHECKPOINT_DIR`.
-pub fn parse_progress_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    if raw.trim().is_empty() {
-        return Err(
-            "DYLECT_PROGRESS_DIR must be a directory path, got an empty value \
-             (unset it to use results/progress)"
-                .to_owned(),
-        );
-    }
-    Ok(Some(PathBuf::from(raw)))
-}
-
-/// [`parse_progress_dir`] against the live environment; a malformed value
-/// prints a usage message and exits with status 2.
-pub fn progress_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var("DYLECT_PROGRESS_DIR").ok();
-    or_usage_exit(parse_progress_dir(raw.as_deref()))
 }
 
 /// Whether the runner skips cache reads: `--no-cache` on the command line,
@@ -584,6 +542,7 @@ impl Runner {
     ///
     /// - `DYLECT_JOBS=n` — worker count (default: available parallelism);
     /// - `DYLECT_CACHE_DIR=path` — cache location (default `results/cache`);
+    ///   like every directory variable here, a blank value is a usage error;
     /// - `--no-cache` / `DYLECT_NO_CACHE=1` — ignore existing cache entries
     ///   (fresh results are still written, refreshing the cache);
     /// - `DYLECT_PROF=1` — host self-profiling (see `dylect_sim_core::prof`);
@@ -600,14 +559,14 @@ impl Runner {
             std::env::args().any(|a| a == "--no-cache"),
             std::env::var("DYLECT_NO_CACHE").ok().as_deref(),
         ));
-        let cache_dir = std::env::var("DYLECT_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results/cache"));
-        let progress_dir =
-            progress_dir_from_env().unwrap_or_else(|| PathBuf::from("results/progress"));
+        // Workers read the checkpoint directory; reject a blank one before
+        // any of them starts.
+        dir_from_env("DYLECT_CHECKPOINT_DIR");
+        let progress_dir = dir_from_env("DYLECT_PROGRESS_DIR")
+            .unwrap_or_else(|| PathBuf::from("results/progress"));
         Runner {
             jobs,
-            cache_dir: Some(cache_dir),
+            cache_dir: Some(cache_dir_from_env()),
             read_cache: !no_cache,
             progress_dir: Some(progress_dir),
         }
@@ -835,26 +794,35 @@ mod tests {
         }
     }
 
+    /// Every directory variable goes through `env::parse_dir`: unset is
+    /// `None`, a path is kept, and a blank value is a typo naming the
+    /// variable.
+    fn assert_dir_parsing(name: &str) {
+        assert_eq!(env::parse_dir(name, None), Ok(None), "{name}");
+        assert_eq!(
+            env::parse_dir(name, Some("results/dir")),
+            Ok(Some(PathBuf::from("results/dir"))),
+            "{name}"
+        );
+        for blank in ["", "   "] {
+            let err = env::parse_dir(name, Some(blank)).expect_err("blank is a typo");
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn cache_dir_parsing_accepts_paths_and_rejects_blank() {
+        assert_dir_parsing("DYLECT_CACHE_DIR");
+    }
+
     #[test]
     fn checkpoint_dir_parsing_accepts_paths_and_rejects_blank() {
-        assert_eq!(parse_checkpoint_dir(None), Ok(None));
-        assert_eq!(
-            parse_checkpoint_dir(Some("results/ckpt")),
-            Ok(Some(PathBuf::from("results/ckpt")))
-        );
-        assert!(parse_checkpoint_dir(Some("")).is_err(), "blank is a typo");
-        assert!(parse_checkpoint_dir(Some("   ")).is_err());
+        assert_dir_parsing("DYLECT_CHECKPOINT_DIR");
     }
 
     #[test]
     fn progress_dir_parsing_accepts_paths_and_rejects_blank() {
-        assert_eq!(parse_progress_dir(None), Ok(None));
-        assert_eq!(
-            parse_progress_dir(Some("results/progress")),
-            Ok(Some(PathBuf::from("results/progress")))
-        );
-        assert!(parse_progress_dir(Some("")).is_err(), "blank is a typo");
-        assert!(parse_progress_dir(Some("  ")).is_err());
+        assert_dir_parsing("DYLECT_PROGRESS_DIR");
     }
 
     /// Progress markers are flat JSON a `parse_flat_object` consumer

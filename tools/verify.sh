@@ -84,6 +84,29 @@ cmp -s "$SMOKE/multimc-seq.tsv" "$SMOKE/multimc-par.tsv" \
     || { echo "runner-pool smoke: worker count changed results"; exit 1; }
 echo "runner-pool smoke: OK"
 
+echo "== figures smoke: each per-figure binary prints its allfigs section from the cache"
+# allfigs fills a fresh cache. Each per-figure binary must then simulate
+# nothing and print a stdout that appears verbatim in allfigs' stdout.
+FIGS="$SMOKE/figs"
+mkdir -p "$FIGS"
+DYLECT_CACHE_DIR="$FIGS/cache" DYLECT_PROGRESS_DIR="$FIGS/progress" \
+    target/release/allfigs --quick > "$FIGS/allfigs.out" 2>/dev/null \
+    || { echo "figures smoke: allfigs failed"; exit 1; }
+ALLFIGS_OUT=$(cat "$FIGS/allfigs.out")
+for bin in fig03_hugepages fig04_tmcc_slowdown fig05_cte_sweep fig06_granularity \
+    fig17_bandwidth fig18_speedup fig19_hitrate fig20_breakdown fig21_latency \
+    fig22_traffic fig23_cte_traffic fig24_energy fig25_groupsize naive_ablation; do
+    DYLECT_CACHE_DIR="$FIGS/cache" DYLECT_PROGRESS_DIR="$FIGS/progress" \
+        "target/release/$bin" --quick > "$FIGS/$bin.out" 2> "$FIGS/$bin.err" \
+        || { echo "figures smoke: $bin failed"; exit 1; }
+    grep -q "^\[runner\] .* 0 simulated)" "$FIGS/$bin.err" \
+        || { echo "figures smoke: $bin simulated runs allfigs had cached"; exit 1; }
+    SECTION=$(cat "$FIGS/$bin.out")
+    [ -n "$SECTION" ] && [[ "$ALLFIGS_OUT" == *"$SECTION"* ]] \
+        || { echo "figures smoke: $bin stdout is not a section of allfigs"; exit 1; }
+done
+echo "figures smoke: OK"
+
 echo "== checkpoint smoke: repeat runs warm-start from a shared checkpoint"
 # First run populates DYLECT_CHECKPOINT_DIR (one .ckpt per warmed config);
 # the second run must warm-start from those checkpoints instead of
