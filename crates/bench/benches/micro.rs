@@ -18,7 +18,9 @@ use dylect_memctl::FreeSpace;
 use dylect_sim::{SchemeKind, System, SystemConfig};
 use dylect_sim_core::rng::{Rng, Zipf};
 use dylect_sim_core::{digest, prof};
-use dylect_sim_core::{DramPageId, MachineAddr, PageId, Time};
+use dylect_sim_core::{
+    DramPageId, MachineAddr, PageId, Time, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES,
+};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
 /// Batches per sample; the reported time is the median over samples, which
@@ -84,6 +86,15 @@ fn bench_dram_access() {
     bench("dram_single_access", 100_000, || {
         let addr = MachineAddr::new(rng.next_below(1 << 30) / 64 * 64);
         t = dram.access(t, black_box(addr), DramOp::Read, RequestClass::Demand);
+    });
+    // One 4 KB page as a 64-block batch, the shape of `transfer::read_page`.
+    let mut dram = Dram::new(DramConfig::paper(1 << 30, 8));
+    let mut t = Time::ZERO;
+    bench("dram_page_batch", 10_000, || {
+        let base = rng.next_below(1 << 30) / PAGE_BYTES * PAGE_BYTES;
+        let blocks =
+            (0..BLOCKS_PER_PAGE).map(|i| (MachineAddr::new(base + i * BLOCK_BYTES), DramOp::Read));
+        t = dram.access_batch(t, black_box(blocks), RequestClass::Migration);
     });
 }
 

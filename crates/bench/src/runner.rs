@@ -415,24 +415,12 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// Parses a `DYLECT_JOBS` value: unset is `Ok(None)` (caller picks a
-/// default), a positive integer is `Ok(Some(n))`, and anything else —
-/// garbage text or `0` — is a usage error. A typo in the variable must
-/// fail loudly, not silently serialize a long experiment matrix.
+/// Parses a `DYLECT_JOBS` value with [`env::parse_count`]: unset or blank
+/// is `Ok(None)` (every core), a positive integer is the worker count, and
+/// `0` or garbage is a usage error. A typo in the variable must fail
+/// loudly, not silently serialize a long experiment matrix.
 pub fn parse_jobs(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!(
-            "DYLECT_JOBS must be a positive worker count, got `{raw}` \
-             (unset it to use every core)"
-        )),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "DYLECT_JOBS must be a positive integer, got `{raw}`"
-        )),
-    }
+    Ok(env::parse_count("DYLECT_JOBS", raw)?.map(|n| n as usize))
 }
 
 /// [`parse_jobs`] against the live environment; a malformed value prints a
@@ -764,21 +752,20 @@ mod tests {
     use super::*;
     use crate::Mode;
 
-    /// Regression test: a cached report produced under one telemetry
-    /// configuration must not satisfy a run under another, so the
-    /// telemetry env vars must perturb the cache fingerprint. (This test
-    /// owns `DYLECT_SPAN_SAMPLE`/`DYLECT_SHADOW` mutation in this binary;
-    /// keep it the only one touching them to avoid cross-test races.)
+    /// `DYLECT_JOBS` uses the shared `env::parse_count` grammar: unset or
+    /// blank is the default, a positive integer is kept, and `0` or
+    /// garbage is an error naming the variable.
     #[test]
     fn jobs_parsing_accepts_counts_and_rejects_garbage() {
         assert_eq!(parse_jobs(None), Ok(None));
+        assert_eq!(parse_jobs(Some("")), Ok(None));
+        assert_eq!(parse_jobs(Some("   ")), Ok(None));
         assert_eq!(parse_jobs(Some("1")), Ok(Some(1)));
         assert_eq!(parse_jobs(Some(" 8 ")), Ok(Some(8)));
-        assert!(parse_jobs(Some("0")).is_err(), "0 workers cannot run");
-        assert!(parse_jobs(Some("four")).is_err());
-        assert!(parse_jobs(Some("")).is_err());
-        assert!(parse_jobs(Some("-2")).is_err());
-        assert!(parse_jobs(Some("2.5")).is_err());
+        for bad in ["0", "four", "-2", "2.5", "0x10"] {
+            let err = parse_jobs(Some(bad)).unwrap_err();
+            assert!(err.contains("DYLECT_JOBS"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1060,6 +1047,11 @@ mod tests {
         assert!(nested.config().core.nested_walk);
     }
 
+    /// Regression test: a cached report produced under one telemetry
+    /// configuration must not satisfy a run under another, so the
+    /// telemetry env vars must perturb the cache fingerprint. (This test
+    /// owns `DYLECT_SPAN_SAMPLE`/`DYLECT_SHADOW` mutation in this binary;
+    /// keep it the only one touching them to avoid cross-test races.)
     #[test]
     fn fingerprint_tracks_telemetry_env_vars() {
         let key = RunKey::new(

@@ -34,8 +34,6 @@ pub mod mapping;
 mod scheduler;
 pub mod stats;
 
-use std::collections::HashMap;
-
 use dylect_sim_core::prof;
 use dylect_sim_core::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use dylect_sim_core::{MachineAddr, Time};
@@ -46,7 +44,7 @@ pub use mapping::{AddressMapper, Location};
 pub use scheduler::{CompletionDetail, DramOp, ReqId};
 pub use stats::{DramStats, QueueStats, RequestClass, RowOutcome};
 
-use scheduler::{ChannelScheduler, Pending};
+use scheduler::ChannelScheduler;
 
 /// The DRAM system attached to one memory controller.
 #[derive(Clone, Debug)]
@@ -58,7 +56,10 @@ pub struct Dram {
     queue: QueueStats,
     in_flight_reads: u64,
     in_flight_writes: u64,
-    completions: HashMap<ReqId, CompletionDetail>,
+    /// Drained completions not yet taken. Access paths take theirs right
+    /// after their drain, so this holds about one batch and a linear scan
+    /// beats hashing.
+    completions: Vec<(ReqId, CompletionDetail)>,
     next_id: u64,
 }
 
@@ -76,7 +77,7 @@ impl Dram {
             queue: QueueStats::default(),
             in_flight_reads: 0,
             in_flight_writes: 0,
-            completions: HashMap::new(),
+            completions: Vec::new(),
             next_id: 0,
         }
     }
@@ -129,13 +130,7 @@ impl Dram {
             }
         }
         let loc = self.mapper.decode(addr);
-        self.channels[loc.channel as usize].submit(Pending {
-            id,
-            arrival,
-            loc,
-            op,
-            class,
-        });
+        self.channels[loc.channel as usize].submit(id, arrival, loc, op, class);
         id
     }
 
@@ -145,10 +140,7 @@ impl Dram {
         self.in_flight_writes = 0;
         for ch in &mut self.channels {
             if ch.has_pending() {
-                ch.drain(&mut self.stats);
-            }
-            for (id, detail) in ch.take_completions() {
-                self.completions.insert(id, detail);
+                ch.drain(&mut self.stats, &mut self.completions);
             }
         }
     }
@@ -158,14 +150,15 @@ impl Dram {
     /// Returns `None` if the request was never submitted, not yet drained,
     /// or already taken.
     pub fn take_completion(&mut self, id: ReqId) -> Option<Time> {
-        self.completions.remove(&id).map(|d| d.done)
+        self.take_completion_detail(id).map(|d| d.done)
     }
 
     /// Takes the full completion detail (done time plus queue/service
     /// split) of a drained request — the attribution layer's view of a
     /// demand access.
     pub fn take_completion_detail(&mut self, id: ReqId) -> Option<CompletionDetail> {
-        self.completions.remove(&id)
+        let i = self.completions.iter().position(|&(c, _)| c == id)?;
+        Some(self.completions.swap_remove(i).1)
     }
 
     /// Serializes timing/scheduler state. Call only at a quiescent point:
@@ -241,18 +234,26 @@ impl Dram {
         class: RequestClass,
     ) -> Time {
         let _p = prof::sampled_scope(prof::HostPhase::DramAccess);
-        let ids: Vec<ReqId> = addrs
-            .into_iter()
-            .map(|(a, op)| self.submit(arrival, a, op, class))
-            .collect();
-        if ids.is_empty() {
+        let first = self.next_id;
+        for (a, op) in addrs {
+            self.submit(arrival, a, op, class);
+        }
+        let batch = first..self.next_id;
+        if batch.is_empty() {
             return arrival;
         }
         self.drain();
-        ids.into_iter()
-            .map(|id| self.take_completion(id).expect("just drained"))
-            .max()
-            .expect("non-empty batch")
+        // Every request completes after it arrives, so folding from
+        // `arrival` yields the batch's latest completion.
+        let mut last = arrival;
+        self.completions.retain(|&(id, d)| {
+            let ours = batch.contains(&id.0);
+            if ours {
+                last = last.max(d.done);
+            }
+            !ours
+        });
+        last
     }
 
     /// Estimates energy consumed by `elapsed` simulated time with the

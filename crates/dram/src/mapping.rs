@@ -28,15 +28,37 @@ pub struct Location {
 }
 
 /// The static address-mapping function.
+///
+/// Every field but the row is a power-of-two count, so decoding is shifts
+/// and masks precomputed here rather than a chain of divisions.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
+    channel_bits: u32,
+    column_bits: u32,
+    bank_bits: u32,
+    rank_bits: u32,
 }
 
 impl AddressMapper {
     /// Creates a mapper for the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel, blocks-per-row, banks-per-rank or rank count
+    /// is not a power of two.
     pub fn new(geometry: DramGeometry) -> Self {
-        AddressMapper { geometry }
+        let bits = |what: &str, n: u64| {
+            assert!(n.is_power_of_two(), "{what} = {n} is not a power of two");
+            n.trailing_zeros()
+        };
+        AddressMapper {
+            geometry,
+            channel_bits: bits("channels", geometry.channels as u64),
+            column_bits: bits("blocks per row", geometry.blocks_per_row()),
+            bank_bits: bits("banks per rank", geometry.banks_total() as u64),
+            rank_bits: bits("ranks", geometry.ranks as u64),
+        }
     }
 
     /// Returns the geometry this mapper was built for.
@@ -57,20 +79,20 @@ impl AddressMapper {
             "address {addr} beyond capacity"
         );
         let mut x = addr.block_index();
-        let channel = (x % g.channels as u64) as u32;
-        x /= g.channels as u64;
-        let column = x % g.blocks_per_row();
-        x /= g.blocks_per_row();
-        let bank = (x % g.banks_total() as u64) as u32;
-        x /= g.banks_total() as u64;
-        let rank = (x % g.ranks as u64) as u32;
-        x /= g.ranks as u64;
-        let row = x;
+        let mut field = |bits: u32| {
+            let v = x & ((1 << bits) - 1);
+            x >>= bits;
+            v
+        };
+        let channel = field(self.channel_bits) as u32;
+        let column = field(self.column_bits);
+        let bank = field(self.bank_bits) as u32;
+        let rank = field(self.rank_bits) as u32;
         Location {
             channel,
             rank,
             bank,
-            row,
+            row: x,
             column,
         }
     }
@@ -116,6 +138,44 @@ mod tests {
             let loc = m.decode(MachineAddr::new(i * BLOCK_BYTES * 97 % (1 << 30)));
             assert!(seen.insert((loc.channel, loc.rank, loc.bank, loc.row, loc.column)));
         }
+    }
+
+    /// The div/mod chain the shifts replaced, as the reference.
+    fn decode_by_division(g: &DramGeometry, addr: MachineAddr) -> Location {
+        let mut x = addr.block_index();
+        let channel = (x % g.channels as u64) as u32;
+        x /= g.channels as u64;
+        let column = x % g.blocks_per_row();
+        x /= g.blocks_per_row();
+        let bank = (x % g.banks_total() as u64) as u32;
+        x /= g.banks_total() as u64;
+        let rank = (x % g.ranks as u64) as u32;
+        x /= g.ranks as u64;
+        Location {
+            channel,
+            rank,
+            bank,
+            row: x,
+            column,
+        }
+    }
+
+    #[test]
+    fn decode_matches_div_mod_at_8_and_16_ranks() {
+        for ranks in [8, 16] {
+            let g = DramGeometry::ddr4_with_capacity(1 << 30, ranks);
+            let m = AddressMapper::new(g);
+            for i in 0..20_000u64 {
+                let addr = MachineAddr::new(i * BLOCK_BYTES * 7919 % (1 << 30));
+                assert_eq!(m.decode(addr), decode_by_division(&g, addr), "{addr}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranks = 6 is not a power of two")]
+    fn rejects_non_power_of_two_ranks() {
+        let _ = AddressMapper::new(DramGeometry::ddr4_with_capacity(6 << 27, 6));
     }
 
     #[test]

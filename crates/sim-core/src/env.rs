@@ -2,8 +2,8 @@
 //!
 //! Every on/off variable shares one grammar, so a typo such as
 //! `DYLECT_PROF=yes` fails loudly instead of silently flipping a switch;
-//! every directory variable shares another; and every malformed variable
-//! is a usage error with exit status 2.
+//! every directory variable shares another, every positive count a third;
+//! and every malformed variable is a usage error with exit status 2.
 
 use std::path::PathBuf;
 
@@ -31,6 +31,24 @@ pub fn parse_dir(name: &str, raw: Option<&str>) -> Result<Option<PathBuf>, Strin
             "{name} must be a directory path, got an empty value (unset it instead)"
         )),
         Some(raw) => Ok(Some(PathBuf::from(raw))),
+    }
+}
+
+/// Parses the value of the positive-count variable `name`: unset or blank
+/// is `Ok(None)` (the caller picks its default) and a positive integer is
+/// `Ok(Some(n))` (surrounding whitespace is ignored). `0` and anything
+/// else are usage errors naming the variable.
+pub fn parse_count(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
+    let raw = match raw.map(str::trim) {
+        None | Some("") => return Ok(None),
+        Some(raw) => raw,
+    };
+    match raw.parse::<u64>() {
+        Ok(0) => Err(format!(
+            "{name} must be a positive integer, got 0 (unset it for the default)"
+        )),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!("{name} must be a positive integer, got {raw:?}")),
     }
 }
 

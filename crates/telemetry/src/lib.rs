@@ -110,25 +110,12 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Parses a `DYLECT_SPAN_SAMPLE` value. Unset or empty means disabled
-    /// (`Ok(0)`); anything present must be a positive integer — an
-    /// explicit `0` is rejected (unset the variable to disable) and
+    /// Parses a `DYLECT_SPAN_SAMPLE` value with
+    /// [`dylect_sim_core::env::parse_count`]: unset or blank means disabled
+    /// (`Ok(0)`), a positive integer is the sampling period, and `0` or
     /// garbage is an error rather than a silent default.
     pub fn parse_span_sample(raw: Option<&str>) -> Result<u64, String> {
-        let Some(raw) = raw else { return Ok(0) };
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return Ok(0);
-        }
-        match raw.parse::<u64>() {
-            Ok(0) => Err("DYLECT_SPAN_SAMPLE must be a positive sampling period; \
-                 unset it to disable span sampling"
-                .to_string()),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!(
-                "DYLECT_SPAN_SAMPLE must be a positive integer, got {raw:?}"
-            )),
-        }
+        Ok(dylect_sim_core::env::parse_count("DYLECT_SPAN_SAMPLE", raw)?.unwrap_or(0))
     }
 
     /// The span-sampling period from the `DYLECT_SPAN_SAMPLE` environment
@@ -534,13 +521,15 @@ mod tests {
         assert_eq!(TelemetryConfig::parse_span_sample(Some("  ")), Ok(0));
         assert_eq!(TelemetryConfig::parse_span_sample(Some("1000")), Ok(1000));
         assert_eq!(TelemetryConfig::parse_span_sample(Some(" 64 ")), Ok(64));
-        // An explicit 0 and garbage are hard errors, not silent defaults.
+        // An explicit 0 and garbage are hard errors naming the variable,
+        // not silent defaults.
         let zero = TelemetryConfig::parse_span_sample(Some("0")).unwrap_err();
-        assert!(zero.contains("positive"), "{zero}");
+        assert!(zero.contains("DYLECT_SPAN_SAMPLE") && zero.contains("positive"), "{zero}");
         let junk = TelemetryConfig::parse_span_sample(Some("junk")).unwrap_err();
-        assert!(junk.contains("\"junk\""), "{junk}");
-        assert!(TelemetryConfig::parse_span_sample(Some("-3")).is_err());
-        assert!(TelemetryConfig::parse_span_sample(Some("1.5")).is_err());
+        assert!(junk.contains("DYLECT_SPAN_SAMPLE") && junk.contains("\"junk\""), "{junk}");
+        for bad in ["-3", "1.5", "0x10"] {
+            assert!(TelemetryConfig::parse_span_sample(Some(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]

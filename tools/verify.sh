@@ -11,7 +11,13 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
-echo "== hermetic tests: the suite leaves a clean checkout clean"
+echo "== cargo test -q --offline --manifest-path perf/Cargo.toml"
+# The benchmark's own tests: they pin the step workloads' report
+# fingerprints and check their state digests, so a change that moves
+# simulated behaviour fails here, not only when the benchmark runs.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
+echo "== hermetic tests: the suites leave a clean checkout clean"
 # Tests write only under temp dirs; on a clean checkout, a modified or
 # new file here means a test leaked an artifact into the tree.
 if [ -n "$(git status --porcelain)" ]; then
