@@ -1,112 +1,9 @@
 //! Ablation: DyLeCT's CTE-cache insertion policy and the naive design's
-//! short-CTE cache organization (paper Figure 9 + §IV-C2).
+//! short-CTE cache organization (paper Fig. 9, §IV-C2), on canneal.
 //!
-//! Compares, at high compression:
-//! - DyLeCT with the paper's selective policy (cache the unified block on a
-//!   miss only for ML1/ML2 targets) vs. caching it always;
-//! - the naive split-cache design with Option A (gathered 2 B lines, tag
-//!   overhead) vs. Option B (64 B sector lines, slow warmup).
-
-use dylect_bench::{config_for, print_table, run_jobs, warmup_for, Job, Mode};
-use dylect_core::{Dylect, DylectConfig, NaiveDynamic, NaiveDynamicConfig, ShortCacheOption};
-use dylect_cpu::PageTableLayout;
-use dylect_dram::{Dram, DramConfig};
-use dylect_memctl::MemoryScheme;
-use dylect_sim::{SchemeKind, SharedMemory, System};
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
-
-fn run_with(
-    spec: &BenchmarkSpec,
-    mode: Mode,
-    scheme_of: impl FnOnce(u64, &Dram) -> Box<dyn MemoryScheme>,
-) -> dylect_sim::RunReport {
-    let cfg = config_for(spec, SchemeKind::dylect(), CompressionSetting::High, mode);
-    let dram = Dram::new(DramConfig::paper(cfg.dram_bytes, cfg.dram_ranks));
-    let layout = PageTableLayout::new(spec.footprint_pages(cfg.scale));
-    let scheme = scheme_of(layout.total_os_pages(), &dram);
-    let shared = SharedMemory::new(cfg.l3_bytes, cfg.l3_ways, cfg.l3_latency, scheme, dram);
-    let mut sys = System::from_parts(cfg, spec, shared);
-    sys.run(warmup_for(spec, mode), mode.measure_ops)
-}
+//! Defined in `dylect_bench::figures`; the paper rows are matrix runs.
+//! Usage: `ablation_cache_policy [--quick] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let spec = BenchmarkSpec::by_name("canneal").expect("in suite");
-    let profile = spec.workload(1, 0).profile().clone();
-    let base_fp = format!(
-        "cfg{:?};spec{:?};warm{};measure{}",
-        config_for(&spec, SchemeKind::dylect(), CompressionSetting::High, mode),
-        spec,
-        warmup_for(&spec, mode),
-        mode.measure_ops,
-    );
-    let mut jobs = Vec::new();
-    let mut labels = Vec::new();
-
-    for (label, always) in [("paper (selective)", false), ("cache-unified-always", true)] {
-        let p = profile.clone();
-        let s = spec.clone();
-        labels.push(format!("dylect/{label}"));
-        jobs.push(Job::custom(
-            format!("cache_policy/dylect/{label}"),
-            &format!("{base_fp};always_cache_unified={always}"),
-            move || {
-                run_with(&s, mode, |os_pages, dram| {
-                    Box::new(Dylect::new(
-                        DylectConfig {
-                            always_cache_unified: always,
-                            ..DylectConfig::paper(os_pages)
-                        },
-                        dram,
-                        p,
-                        0x00D1_1EC7,
-                    ))
-                })
-            },
-        ));
-    }
-
-    for (label, opt) in [
-        ("naive/option-A (gathered)", ShortCacheOption::GatheredA),
-        ("naive/option-B (sector)", ShortCacheOption::SectorB),
-    ] {
-        let p = profile.clone();
-        let s = spec.clone();
-        labels.push(label.to_owned());
-        jobs.push(Job::custom(
-            format!("cache_policy/{label}"),
-            &format!("{base_fp};short_cache={opt:?}"),
-            move || {
-                run_with(&s, mode, |os_pages, dram| {
-                    Box::new(NaiveDynamic::new(
-                        NaiveDynamicConfig {
-                            short_cache: opt,
-                            ..NaiveDynamicConfig::paper(os_pages)
-                        },
-                        dram,
-                        p,
-                        0x00D1_1EC7,
-                    ))
-                })
-            },
-        ));
-    }
-
-    let reports = run_jobs(jobs);
-    let mut rows = Vec::new();
-    for (label, r) in labels.iter().zip(&reports) {
-        rows.push(vec![
-            label.clone(),
-            format!("{:.4}", r.mc.cte_hit_rate()),
-            format!("{:.4}", r.mc.pregathered_hit_rate()),
-            format!("{:.3e}", r.ips()),
-        ]);
-        eprintln!("[cache_policy] {label}: hit {:.3}", r.mc.cte_hit_rate());
-    }
-
-    print_table(
-        "CTE-cache policy / organization ablation (canneal, high compression)",
-        &["variant", "cte_hit", "short_or_pregathered_hit", "ips"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

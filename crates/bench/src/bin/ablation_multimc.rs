@@ -1,42 +1,9 @@
-//! Ablation: multiple memory controllers (paper §IV-D).
+//! Ablation: DyLeCT on 1, 2 and 4 memory controllers, each managing its
+//! local DRAM with no cross-MC coherence (paper §IV-D: minimal impact).
 //!
-//! Each MC runs its own DyLeCT module over its locally-attached DRAM with
-//! no cross-MC coherence; pages interleave across MCs. The paper (citing
-//! TMCC) reports that restricting interleaving to the channels within one
-//! MC has minimal performance impact; here we sweep 1/2/4 MCs and report
-//! performance and aggregated translation behavior.
-
-use dylect_bench::{print_table, run_matrix, Mode, RunKey};
-use dylect_sim::SchemeKind;
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
+//! Defined in `dylect_bench::figures`. Usage:
+//! `ablation_multimc [--quick] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let spec = BenchmarkSpec::by_name("canneal").expect("in suite");
-    let setting = CompressionSetting::High;
-    let mc_counts = [1usize, 2, 4];
-    let keys = mc_counts
-        .iter()
-        .map(|&n_mc| RunKey::new(spec.clone(), SchemeKind::dylect(), setting, mode).with_mcs(n_mc))
-        .collect();
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut base_ips = None;
-    for (&n_mc, r) in mc_counts.iter().zip(&reports) {
-        let rel = r.ips() / *base_ips.get_or_insert(r.ips());
-        rows.push(vec![
-            n_mc.to_string(),
-            format!("{:.3e}", r.ips()),
-            format!("{rel:.4}"),
-            format!("{:.4}", r.mc.cte_hit_rate()),
-            format!("{:.4}", r.occupancy.ml0_fraction_of_uncompressed()),
-        ]);
-        eprintln!("[multimc] {n_mc} MCs: ips {:.3e} ({rel:.3}x)", r.ips());
-    }
-    print_table(
-        "Multi-MC ablation (canneal, high compression; paper: MC-local interleaving has minimal impact)",
-        &["memory_controllers", "ips", "relative_perf", "cte_hit", "ml0_of_uncompressed"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

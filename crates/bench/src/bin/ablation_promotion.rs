@@ -1,103 +1,9 @@
-//! Ablation: DyLeCT's promotion-policy knobs (DESIGN.md §6).
+//! Ablation: DyLeCT's promotion knobs (counter sample rate, thresholds)
+//! on canneal at high compression; the paper row is the matrix run.
 //!
-//! Sweeps the counter sampling rate and the promotion thresholds on a
-//! representative benchmark at high compression, reporting hit rate, ML0
-//! coverage, migration volume, and performance relative to the paper
-//! configuration.
-
-use dylect_bench::{config_for, print_table, run_jobs, warmup_for, Job, Mode};
-use dylect_sim::{SchemeKind, System};
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
+//! Defined in `dylect_bench::figures`. Usage:
+//! `ablation_promotion [--quick] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let spec = BenchmarkSpec::by_name("canneal").expect("in suite");
-    let setting = CompressionSetting::High;
-
-    // (sample_rate, promotion_threshold, min_promotion_count)
-    let variants: [(f64, u8, u8, &str); 5] = [
-        (0.05, 2, 2, "paper"),
-        (0.01, 2, 2, "sample-1%"),
-        (0.20, 2, 2, "sample-20%"),
-        (0.05, 0, 0, "eager (no thresholds)"),
-        (0.05, 8, 8, "conservative"),
-    ];
-
-    let base_fp = format!(
-        "cfg{:?};spec{:?};warm{};measure{}",
-        config_for(&spec, SchemeKind::dylect(), setting, mode),
-        spec,
-        warmup_for(&spec, mode),
-        mode.measure_ops,
-    );
-    let mut jobs = Vec::new();
-    for (rate, threshold, min_count, label) in variants {
-        // The SchemeKind enum doesn't expose these knobs; assemble the
-        // scheme directly and wrap it with System::from_parts.
-        let s = spec.clone();
-        jobs.push(Job::custom(
-            format!("promotion/{label}"),
-            &format!("{base_fp};rate={rate};threshold={threshold};min={min_count}"),
-            move || {
-                let base_cfg = config_for(&s, SchemeKind::dylect(), setting, mode);
-                let dram = dylect_dram::Dram::new(dylect_dram::DramConfig::paper(
-                    base_cfg.dram_bytes,
-                    base_cfg.dram_ranks,
-                ));
-                let footprint = s.footprint_pages(mode.scale);
-                let layout = dylect_cpu::PageTableLayout::new(footprint);
-                let dcfg = dylect_core::DylectConfig {
-                    sample_rate: rate,
-                    promotion_threshold: threshold,
-                    min_promotion_count: min_count,
-                    ..dylect_core::DylectConfig::paper(layout.total_os_pages())
-                };
-                let scheme = Box::new(dylect_core::Dylect::new(
-                    dcfg,
-                    &dram,
-                    s.workload(mode.scale, base_cfg.seed).profile().clone(),
-                    base_cfg.seed,
-                ));
-                let shared = dylect_sim::SharedMemory::new(
-                    base_cfg.l3_bytes,
-                    base_cfg.l3_ways,
-                    base_cfg.l3_latency,
-                    scheme,
-                    dram,
-                );
-                let mut sys = System::from_parts(base_cfg, &s, shared);
-                sys.run(dylect_bench::warmup_for(&s, mode), mode.measure_ops)
-            },
-        ));
-    }
-    let reports = run_jobs(jobs);
-
-    let mut rows = Vec::new();
-    for ((_, _, _, label), r) in variants.iter().zip(&reports) {
-        rows.push(vec![
-            (*label).to_owned(),
-            format!("{:.4}", r.mc.cte_hit_rate()),
-            format!("{:.4}", r.occupancy.ml0_fraction_of_uncompressed()),
-            format!(
-                "{}",
-                r.mc.promotions.get() + r.mc.demotions.get() + r.mc.displacements.get()
-            ),
-            format!("{:.3e}", r.ips()),
-        ]);
-        eprintln!(
-            "[ablation_promotion] {label}: hit {:.3}",
-            r.mc.cte_hit_rate()
-        );
-    }
-    print_table(
-        "Promotion-policy ablation (canneal, high compression)",
-        &[
-            "variant",
-            "cte_hit",
-            "ml0_of_uncompressed",
-            "migrations",
-            "ips",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

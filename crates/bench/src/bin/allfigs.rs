@@ -1,15 +1,9 @@
-//! One-stop reproduction driver: runs the runs of every figure in
-//! `dylect_bench::figures::ALLFIGS` as one batch, then prints the figures
-//! in order. Figures share most of their runs; the runner simulates each
-//! distinct configuration once and caches it under `results/cache/`, where
-//! the per-figure binaries pick it up without re-simulating.
-//!
-//! Usage: `allfigs [--quick] [--all] [--no-cache]` (`--all` = full
-//! 12-benchmark suite).
-
-use dylect_bench::figures;
+//! The whole reproduction: runs every figure of
+//! `dylect_bench::figures::ALLFIGS` as one batch (the runner simulates each
+//! distinct run once and caches it) and prints them in order.
+//! Usage: `allfigs [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    figures::run(&figures::ALLFIGS);
+    dylect_bench::figures::run(&dylect_bench::figures::ALLFIGS);
     println!("# allfigs complete");
 }

@@ -11,11 +11,15 @@
 //! `results/blackbox/` for post-mortem context.
 //!
 //! Digest capture is process-global and the streams are the artifact, so
-//! these runs bypass the runner and its report cache.
+//! these runs bypass the runner and its report cache. An instrument, not a
+//! `dylect_bench::figures::Figure`: see DESIGN.md §6.
+//!
+//! Usage: `fig_divergence [--quick] [--out DIR]`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use dylect_bench::{Mode, RunKey};
+use dylect_bench::figures::{or_exit, Args};
+use dylect_bench::RunKey;
 use dylect_sim::{SchemeKind, System};
 use dylect_sim_core::blackbox;
 use dylect_sim_core::digest::{self, first_difference, DigestRecord};
@@ -23,8 +27,8 @@ use dylect_sim_core::env::or_usage_exit;
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
 /// Retired-op index where the demo injects its one-bit fault. A
-/// multiple of the 256-op drain batch, so the batched, per-op, and replay
-/// paths all fire it at the same op count; sits inside window 2, so
+/// multiple of the 256-op drain batch, so the retirement loop and the
+/// op-level replay fire it at the same op count; sits inside window 2, so
 /// window 1 pins the agreement prefix.
 const PERTURB_AT: u64 = 6_400;
 
@@ -39,13 +43,9 @@ fn write_stream(path: &Path, records: &[DigestRecord]) {
         body.push_str(&r.to_jsonl_line());
         body.push('\n');
     }
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(path, body) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("[fig_divergence] write failed {}: {e}", path.display()),
-    }
+    let written = std::fs::write(path, body);
+    or_exit(written.map_err(|e| format!("cannot write {}: {e}", path.display())));
+    println!("wrote {}", path.display());
 }
 
 /// First diverging record between two equal-length digest streams:
@@ -125,20 +125,10 @@ fn bisect(key: &RunKey, out_dir: &Path) -> u8 {
 }
 
 fn main() {
-    let mode = Mode::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let bench = flag("--bench").unwrap_or_else(|| "omnetpp".to_owned());
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "results/divergence".to_owned()));
-    let spec = BenchmarkSpec::by_name(&bench).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench}");
-        std::process::exit(2);
-    });
+    let args = Args::from_env();
+    let mode = args.mode();
+    let out_dir = args.out_dir("results/divergence");
+    let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
 
     // Strict-parse DYLECT_DIGEST (garbage exits 2), then force capture on:
     // the digest streams *are* this binary's output.
@@ -146,7 +136,7 @@ fn main() {
     digest::set_enabled(true);
     // Any crash from here on leaves a flight-recorder dump behind.
     blackbox::install_panic_hook();
-    blackbox::set_label(&format!("fig_divergence-{bench}"));
+    blackbox::set_label("fig_divergence-omnetpp");
 
     let key = RunKey::new(spec, SchemeKind::dylect(), CompressionSetting::High, mode);
     std::process::exit(bisect(&key, &out_dir) as i32);

@@ -1,181 +1,9 @@
-//! Virtualized (2D nested) translation: what nested page walks add to
-//! the `tlb_walk` latency component, per scheme.
+//! Virtualized translation: the `tlb_walk` cycles 2D nested page walks
+//! add per scheme, on 4 KB pages.
 //!
-//! Under virtualization every guest page-table step is itself translated
-//! guest-physical → host-physical (the x86 2D walk); CTE translation
-//! then sits underneath as the third layer. This binary runs each scheme
-//! flat and nested with latency attribution enabled and reports the
-//! added `tlb_walk` cycles — the nested-walk cost lands in the same
-//! attribution component as native walks, and the conservation
-//! invariant (components sum exactly to end-to-end latency) is checked
-//! on every run.
-//!
-//! Defaults to 4 KB pages (`--pages 2m` for huge pages): guests
-//! commonly cannot use huge pages, and 4 KB keeps real walk traffic in
-//! the measurement window at every mode.
-//!
-//! Telemetry exports land under `--out DIR` (default `results/nested`)
-//! as `<benchmark>-<scheme>-{flat,nested}.*.jsonl` + `.trace.json`.
-//! These jobs bypass the report cache (`cache_name: None`): attribution
-//! is not reconstructible from a cached report.
-
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-use dylect_bench::runner::{Job, Runner};
-use dylect_bench::{print_table, warmup_for, Mode, RunKey};
-use dylect_cpu::PageSizeMode;
-use dylect_sim::{SchemeKind, System};
-use dylect_sim_core::probe::{AccessComponent, AccessScope};
-use dylect_telemetry::TelemetryConfig;
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
-
-/// What one run contributes: walk counts and the core-scope cycle split.
-struct Variant {
-    walks: u64,
-    tlb_walk_ps: u64,
-    core_total_ps: u64,
-}
+//! Defined in `dylect_bench::figures`. Exports land under `--out DIR`
+//! (default `results/nested`). Usage: `fig_nested [--quick] [--out DIR]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let bench = flag("--bench").unwrap_or_else(|| "omnetpp".to_owned());
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "results/nested".to_owned()));
-    let spec = BenchmarkSpec::by_name(&bench).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench}");
-        std::process::exit(2);
-    });
-    let pages = match flag("--pages").as_deref() {
-        None | Some("4k") => PageSizeMode::Standard4K,
-        Some("2m") => PageSizeMode::Huge2M,
-        Some(other) => {
-            eprintln!("--pages must be 4k or 2m, got {other}");
-            std::process::exit(2);
-        }
-    };
-    let setting = CompressionSetting::High;
-
-    let variants: Arc<Mutex<BTreeMap<String, Variant>>> = Arc::default();
-    let mut jobs = Vec::new();
-    for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-        for nested in [false, true] {
-            let mut key =
-                RunKey::new(spec.clone(), scheme.clone(), setting, mode).with_pages(pages);
-            if nested {
-                key = key.with_nested();
-            }
-            let dim = if nested { "nested" } else { "flat" };
-            let slot = format!("{}/{dim}", key.scheme.label());
-            let stem = out_dir.join(format!("{}-{}-{dim}", spec.name, key.scheme.label()));
-            let variants = variants.clone();
-            jobs.push(Job {
-                label: format!("{}/walkdim", key.label()),
-                // Attribution is the figure's payload and is not part of
-                // a cached RunReport.
-                cache_name: None,
-                work: Box::new(move || {
-                    let warmup = warmup_for(&key.spec, key.mode);
-                    let mut sys = System::new(key.config(), &key.spec);
-                    sys.enable_telemetry(TelemetryConfig::default());
-                    let report = sys.run(warmup, key.mode.measure_ops);
-                    let telemetry = sys.take_telemetry().expect("enabled above");
-                    {
-                        let a = telemetry.attribution();
-                        // Conservation must survive the 2D walk: every
-                        // host-table read is inside the translated_at
-                        // window, so TlbWalk absorbs it exactly.
-                        for scope in AccessScope::ALL {
-                            let components: u64 = AccessComponent::ALL
-                                .iter()
-                                .map(|&c| a.component_total(scope, c).as_ps())
-                                .sum();
-                            let hists: u64 = a
-                                .histograms()
-                                .iter()
-                                .filter(|((s, ..), _)| *s == scope)
-                                .map(|(_, h)| h.sum().as_ps())
-                                .sum();
-                            assert_eq!(
-                                components, hists,
-                                "{slot}: attribution conservation violated"
-                            );
-                        }
-                        variants.lock().unwrap().insert(
-                            slot.clone(),
-                            Variant {
-                                walks: report.walks,
-                                tlb_walk_ps: a
-                                    .component_total(AccessScope::Core, AccessComponent::TlbWalk)
-                                    .as_ps(),
-                                core_total_ps: AccessComponent::ALL
-                                    .iter()
-                                    .map(|&c| a.component_total(AccessScope::Core, c).as_ps())
-                                    .sum(),
-                            },
-                        );
-                    }
-                    if let Err(e) = telemetry.export_to(&stem) {
-                        eprintln!("[fig_nested] export failed: {e}");
-                    }
-                    report
-                }),
-            });
-        }
-    }
-    Runner::from_env().run_jobs(jobs);
-
-    let variants = variants.lock().unwrap();
-    let mut rows = Vec::new();
-    for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-        let label = scheme.label();
-        let flat = &variants[&format!("{label}/flat")];
-        let nested = &variants[&format!("{label}/nested")];
-        let added = nested.tlb_walk_ps as i64 - flat.tlb_walk_ps as i64;
-        eprintln!(
-            "[fig_nested] {label}: tlb_walk {} -> {} ps over {} -> {} walks",
-            flat.tlb_walk_ps, nested.tlb_walk_ps, flat.walks, nested.walks,
-        );
-        rows.push(vec![
-            label,
-            format!("{}", flat.walks),
-            format!("{:.3}", flat.tlb_walk_ps as f64 / 1e6),
-            format!("{:.3}", nested.tlb_walk_ps as f64 / 1e6),
-            format!("{:.3}", added as f64 / 1e6),
-            format!(
-                "{:.1}",
-                100.0 * flat.tlb_walk_ps as f64 / flat.core_total_ps as f64
-            ),
-            format!(
-                "{:.1}",
-                100.0 * nested.tlb_walk_ps as f64 / nested.core_total_ps as f64
-            ),
-        ]);
-    }
-    print_table(
-        &format!(
-            "Nested (2D) walk cost in the tlb_walk component ({bench}, {} pages, high compression)",
-            match pages {
-                PageSizeMode::Standard4K => "4K",
-                PageSizeMode::Huge2M => "2M",
-            }
-        ),
-        &[
-            "scheme",
-            "walks",
-            "flat_us",
-            "nested_us",
-            "added_us",
-            "flat_%core",
-            "nested_%core",
-        ],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

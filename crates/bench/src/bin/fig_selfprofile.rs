@@ -26,15 +26,18 @@
 //!
 //! Profiling state is process-global and would be polluted by report-cache
 //! hits (a cached job records no phases), so these jobs bypass the report
-//! cache (`cache_name: None`) like `fig_shadow`.
+//! cache (`cache_name: None`) like `fig_shadow`. An instrument, not a
+//! `dylect_bench::figures::Figure`: see DESIGN.md §6.
+//!
+//! Usage: `fig_selfprofile [--quick] [--out DIR]`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use dylect_bench::figures::{or_exit, write_exports, Args};
 use dylect_bench::runner::{Job, Runner};
-use dylect_bench::{print_table, warmup_for, Mode, RunKey};
+use dylect_bench::{print_table, warmup_for, RunKey};
 use dylect_sim::{SchemeKind, System};
 use dylect_sim_core::env::or_usage_exit;
 use dylect_sim_core::probe::SpanRecord;
@@ -46,33 +49,24 @@ use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 /// What one run hands back beside its report.
 struct SchemeOutput {
     report_row: Vec<String>,
-    export_paths: Vec<PathBuf>,
+    /// The telemetry exports as (file name, contents).
+    exports: Vec<(String, String)>,
     /// Simulated-event data for the dual-clock trace (dylect only).
     trace_data: Option<(EventJournal, Vec<SpanRecord>)>,
     total_ops: u64,
 }
 
 fn main() {
-    let mode = Mode::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let bench = flag("--bench").unwrap_or_else(|| "omnetpp".to_owned());
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "results/selfprofile".to_owned()));
-    let spec = BenchmarkSpec::by_name(&bench).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench}");
-        std::process::exit(2);
-    });
+    let args = Args::from_env();
+    let mode = args.mode();
+    let out_dir = args.out_dir("results/selfprofile");
+    let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
     let setting = CompressionSetting::High;
     let span_sample = or_usage_exit(TelemetryConfig::span_sample_from_env());
 
     // from_env() strict-parses DYLECT_PROF (exit 2 on garbage) and arms
     // the profiler before any job runs.
-    let runner = Runner::from_env();
+    let runner = Runner::from_env(args.no_cache);
     prof::reset();
 
     let outputs: Arc<Mutex<BTreeMap<String, SchemeOutput>>> = Arc::default();
@@ -84,7 +78,7 @@ fn main() {
     ] {
         let key = RunKey::new(spec.clone(), scheme, setting, mode);
         let label = key.scheme.label();
-        let stem = out_dir.join(format!("{}-{label}", spec.name));
+        let stem = format!("{}-{label}", spec.name);
         let want_trace = key.scheme == SchemeKind::dylect();
         let outputs = outputs.clone();
         jobs.push(Job {
@@ -107,7 +101,7 @@ fn main() {
                         telemetry.attribution().spans().to_vec(),
                     )
                 });
-                let mut out = SchemeOutput {
+                let out = SchemeOutput {
                     report_row: vec![
                         label.clone(),
                         report.instructions.to_string(),
@@ -116,14 +110,14 @@ fn main() {
                         report.l3_misses.to_string(),
                         format!("{:.1}", report.l3_miss_latency_ns),
                     ],
-                    export_paths: Vec::new(),
+                    exports: telemetry
+                        .artifacts()
+                        .into_iter()
+                        .map(|(suffix, text)| (format!("{stem}{suffix}"), text))
+                        .collect(),
                     trace_data,
                     total_ops: warmup + key.mode.measure_ops,
                 };
-                match telemetry.export_to(&stem) {
-                    Ok(paths) => out.export_paths = paths,
-                    Err(e) => eprintln!("[fig_selfprofile] export failed: {e}"),
-                }
                 outputs.lock().unwrap().insert(label.clone(), out);
                 report
             }),
@@ -133,7 +127,7 @@ fn main() {
     runner.run_jobs(jobs);
     let wall_ns = wall.elapsed().as_nanos() as f64;
 
-    let outputs = outputs.lock().unwrap();
+    let mut outputs = outputs.lock().expect("no worker panicked");
     let report_rows: Vec<Vec<String>> = outputs.values().map(|o| o.report_row.clone()).collect();
     print_table(
         &format!("Per-scheme run summary ({}, high compression)", spec.name),
@@ -147,8 +141,8 @@ fn main() {
         ],
         &report_rows,
     );
-    for out in outputs.values() {
-        for p in &out.export_paths {
+    for out in outputs.values_mut() {
+        for p in or_exit(write_exports(&out_dir, std::mem::take(&mut out.exports))) {
             println!("wrote {}", p.display());
         }
     }
@@ -163,22 +157,18 @@ fn main() {
         ("wall_ns".to_owned(), wall_ns),
         ("measure_ops".to_owned(), total_ops as f64),
     ];
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("[fig_selfprofile] cannot create {}: {e}", out_dir.display());
-        std::process::exit(2);
+    let mut host_exports = vec![(
+        "selfprofile.prof.jsonl".to_owned(),
+        prof_jsonl(&host, &meta),
+    )];
+    if let Some((journal, spans)) = outputs.values().find_map(|o| o.trace_data.as_ref()) {
+        let dual = chrome_trace_dual(journal, spans, &host);
+        host_exports.push((format!("{}-dylect.dual.trace.json", spec.name), dual));
+    }
+    for p in or_exit(write_exports(&out_dir, host_exports)) {
+        println!("wrote {}", p.display());
     }
     let prof_path = out_dir.join("selfprofile.prof.jsonl");
-    match std::fs::write(&prof_path, prof_jsonl(&host, &meta)) {
-        Ok(()) => println!("wrote {}", prof_path.display()),
-        Err(e) => eprintln!("[fig_selfprofile] write failed: {e}"),
-    }
-    if let Some((journal, spans)) = outputs.values().find_map(|o| o.trace_data.as_ref()) {
-        let dual_path = out_dir.join(format!("{}-dylect.dual.trace.json", spec.name));
-        match std::fs::write(&dual_path, chrome_trace_dual(journal, spans, &host)) {
-            Ok(()) => println!("wrote {}", dual_path.display()),
-            Err(e) => eprintln!("[fig_selfprofile] write failed: {e}"),
-        }
-    }
     println!(
         "host profile: {} phases, {} spans retained ({} dropped); \
          inspect with `dylect-stats summary {}`",

@@ -15,9 +15,8 @@
 //!   (co-tenants evict each other's translation entries) and the DRAM
 //!   queue delta (mean demand L3-miss latency).
 //!
-//! The tenant mix comes from `--tenants a,b,...` (default
-//! `omnetpp,mcf`), or — including nested walks and scheduled events —
-//! from a full `DYLECT_SCENARIO` spec, which takes precedence. All
+//! The tenant mix, nested walks and scheduled events come from a
+//! `DYLECT_SCENARIO` spec (default `tenants=omnetpp,mcf`). All
 //! tenants run at one shared footprint scale (the most demanding
 //! tenant's effective scale), so each solo baseline simulates exactly
 //! the footprint its tenant has in the co-run.
@@ -26,36 +25,28 @@
 //! `fig_tenants.<scheme>.tenants.jsonl`, consumed by `dylect-serve`
 //! (`/metrics` exports them as `dylect_tenant_slowdown`). Co-run jobs
 //! bypass the report cache (`cache_name: None`): the artifact is the
-//! point, and a cache hit would skip writing it.
+//! point, and a cache hit would skip writing it. A table rather than a
+//! `dylect_bench::figures::Figure`: see DESIGN.md §6.
+//!
+//! Usage: `fig_tenants [--quick] [--no-cache] [--out DIR]`.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
+use dylect_bench::figures::{or_exit, Args};
+use dylect_bench::print_table;
 use dylect_bench::runner::{Job, Runner};
-use dylect_bench::{print_table, Mode};
 use dylect_scenario::{scenario_from_env, ScenarioOutcome, ScenarioSpec};
 use dylect_sim::{SchemeKind, System, SystemConfig};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
 fn main() {
-    let mode = Mode::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "results".to_owned()));
-    let scenario = scenario_from_env().unwrap_or_else(|| {
-        let tenants = flag("--tenants").unwrap_or_else(|| "omnetpp,mcf".to_owned());
-        ScenarioSpec::parse(&format!("tenants={tenants}")).unwrap_or_else(|e| {
-            eprintln!("usage: --tenants: {e}");
-            std::process::exit(2);
-        })
-    });
+    let args = Args::from_env();
+    let mode = args.mode();
+    let out_dir = args.out_dir("results");
+    let scenario = scenario_from_env()
+        .unwrap_or_else(|| ScenarioSpec::parse("tenants=omnetpp,mcf").expect("valid default"));
     let tenants = scenario.resolve();
     let setting = CompressionSetting::High;
     // One shared machine scale: the most demanding tenant's effective
@@ -124,12 +115,8 @@ fn main() {
             }),
         });
     }
-    let reports = Runner::from_env().run_jobs(jobs);
+    let reports = Runner::from_env(args.no_cache).run_jobs(jobs);
 
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
     let outcomes = outcomes.lock().unwrap();
     let mut rows = Vec::new();
     for (si, scheme) in schemes.iter().enumerate() {
@@ -141,10 +128,7 @@ fn main() {
         let slowdowns = outcome.slowdowns(&solo_ips);
 
         let path = out_dir.join(format!("fig_tenants.{label}.tenants.jsonl"));
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }));
+        let mut file = String::new();
         for ((t, s), solo) in outcome.tenants.iter().zip(&slowdowns).zip(&solo) {
             writeln!(
                 file,
@@ -159,7 +143,7 @@ fn main() {
                 t.tlb_miss_rate,
                 solo.tlb_miss_rate,
             )
-            .expect("write row");
+            .expect("writing to a String cannot fail");
             rows.push(vec![
                 label.clone(),
                 t.tenant.clone(),
@@ -199,7 +183,7 @@ fn main() {
             co.mc.cte_hit_rate(),
             co.mc.cte_hit_rate() - solo_cte,
         )
-        .expect("write finding");
+        .expect("writing to a String cannot fail");
         writeln!(
             file,
             "{{\"artifact\":\"fig_tenants\",\"scheme\":\"{label}\",\
@@ -209,8 +193,11 @@ fn main() {
             co.l3_miss_latency_ns,
             co.l3_miss_latency_ns - solo_l3_ns,
         )
-        .expect("write finding");
-        drop(file);
+        .expect("writing to a String cannot fail");
+        or_exit(
+            std::fs::write(&path, file)
+                .map_err(|e| format!("cannot write {}: {e}", path.display())),
+        );
         // Stderr with the other progress lines: stdout is the
         // deterministic table, byte-compared by the verify smoke, and
         // the path embeds the run-specific out dir.

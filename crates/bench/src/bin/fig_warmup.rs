@@ -1,96 +1,9 @@
-//! Warmup dynamics: CTE cache hit rate and ML0 fraction vs retired
-//! instructions, for TMCC and DyLeCT, from the telemetry time series.
+//! Warmup dynamics: CTE hit rate and ML0 fraction vs retired instructions
+//! for TMCC and DyLeCT, from telemetry time series of Figure 19's runs.
 //!
-//! The paper's steady-state figures (18–20, 25) hide *how* DyLeCT gets
-//! there: the promotion machinery has to discover the hot set before short
-//! CTEs pay off. This binary runs the exact configuration
-//! `fig19_hitrate` uses — same `RunKey`-derived config and warmup, so
-//! the deterministic simulator produces the identical run — with telemetry
-//! enabled, and prints the hit-rate and ML0-occupancy trajectories. The
-//! final measurement-window hit rate it reports is therefore the same
-//! number Figure 19 prints for that cell.
-//!
-//! Exports land under `results/telemetry/<benchmark>-<scheme>.*` for
-//! `dylect-stats` and Perfetto.
-
-use std::path::PathBuf;
-
-use dylect_bench::{print_table, warmup_for, Mode, RunKey};
-use dylect_sim::{SchemeKind, System};
-use dylect_telemetry::TelemetryConfig;
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
+//! Defined in `dylect_bench::figures`. Exports land under `--out DIR`
+//! (default `results/telemetry`). Usage: `fig_warmup [--quick] [--out DIR]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    // One representative benchmark by default; --bench NAME overrides.
-    let args: Vec<String> = std::env::args().collect();
-    let bench = args
-        .iter()
-        .position(|a| a == "--bench")
-        .and_then(|i| args.get(i + 1))
-        .map_or("omnetpp", String::as_str);
-    let spec = BenchmarkSpec::by_name(bench).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {bench}");
-        std::process::exit(2);
-    });
-    let setting = CompressionSetting::High;
-
-    let mut rows = Vec::new();
-    for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-        let key = RunKey::new(spec.clone(), scheme, setting, mode);
-        let label = key.scheme.label();
-        let warmup = warmup_for(&spec, mode);
-        let mut sys = System::new(key.config(), &spec);
-        sys.enable_telemetry(TelemetryConfig {
-            // ~200 points across the whole run, streaming-downsampled.
-            epoch_ops: ((warmup + mode.measure_ops) / 200).max(1_000),
-            ..TelemetryConfig::default()
-        });
-        eprintln!("[fig_warmup] running {} / {label} ...", spec.name);
-        let report = sys.run(warmup, mode.measure_ops);
-        let telemetry = sys.take_telemetry().expect("enabled above");
-
-        let hit = telemetry.sampler().get("cte_hit_rate").expect("series");
-        let ml0 = telemetry.sampler().get("ml0_fraction").expect("series");
-        for (h, m) in hit.bins().iter().zip(ml0.bins()) {
-            rows.push(vec![
-                label.clone(),
-                h.x_end.to_string(),
-                format!("{:.4}", h.mean()),
-                format!("{:.4}", m.mean()),
-            ]);
-        }
-
-        // The measurement-window aggregate — identical to fig19's number
-        // for this cell (same deterministic run).
-        eprintln!(
-            "[fig_warmup] {} / {label}: final-window cte_hit_rate {:.4}, ml0_fraction {:.4}, \
-             {} promotions journaled",
-            spec.name,
-            report.mc.cte_hit_rate(),
-            report.occupancy.ml0_fraction_of_uncompressed(),
-            telemetry
-                .journal()
-                .count(dylect_sim_core::probe::McEvent::Promotion),
-        );
-
-        let stem = PathBuf::from("results/telemetry").join(format!("{}-{label}", spec.name));
-        match telemetry.export_to(&stem) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("[fig_warmup] wrote {}", p.display());
-                }
-            }
-            Err(e) => eprintln!("[fig_warmup] export failed: {e}"),
-        }
-    }
-
-    print_table(
-        &format!(
-            "Warmup dynamics ({}, high compression): CTE hit rate and ML0 fraction vs instructions",
-            spec.name
-        ),
-        &["scheme", "instructions", "cte_hit_rate", "ml0_fraction"],
-        &rows,
-    );
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,70 +1,9 @@
-//! Table 1: contrasting the schemes — achieved compression ratio and
-//! performance improvement of DyLeCT over TMCC, with only the memory
-//! controller modified.
+//! Table 1: achieved compression ratio and DyLeCT's speedup over TMCC,
+//! with only the memory controller modified (paper: equal ratios, +10.25%).
 //!
-//! Paper: TMCC and DyLeCT both reach a 3.4x (maximum) compression ratio;
-//! DyLeCT gains +10.25% over TMCC under huge pages.
-
-use dylect_bench::{geomean, print_table, run_matrix, suite, Mode, RunKey};
-use dylect_sim::{RunReport, SchemeKind};
-use dylect_sim_core::PAGE_BYTES;
-use dylect_workloads::{BenchmarkSpec, CompressionSetting};
-
-/// Effective compression ratio: OS-visible bytes over DRAM data bytes in
-/// use (pages + compressed spans, excluding free space).
-fn effective_ratio(spec: &BenchmarkSpec, mode: Mode, r: &RunReport) -> f64 {
-    let os_bytes = (spec.footprint_pages(mode.scale) * PAGE_BYTES) as f64;
-    let o = &r.occupancy;
-    let used = ((o.ml0_pages + o.ml1_pages) * PAGE_BYTES) as f64
-        + (o.ml2_pages as f64) * (os_bytes / spec.footprint_pages(mode.scale) as f64)
-            / spec.compression_ratio;
-    os_bytes / used
-}
+//! Defined in `dylect_bench::figures`; its runs are Figure 18's TMCC and
+//! DyLeCT cells. Usage: `table1 [--quick] [--all] [--no-cache]`.
 
 fn main() {
-    let mode = Mode::from_env();
-    let specs = suite();
-    let mut keys = Vec::new();
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        for spec in &specs {
-            for scheme in [SchemeKind::tmcc(), SchemeKind::dylect()] {
-                keys.push(RunKey::new(spec.clone(), scheme, setting, mode));
-            }
-        }
-    }
-    let reports = run_matrix(keys);
-
-    let mut rows = Vec::new();
-    let mut chunks = reports.chunks_exact(2);
-    for setting in [CompressionSetting::Low, CompressionSetting::High] {
-        let mut speedups = Vec::new();
-        let mut ratios_t = Vec::new();
-        let mut ratios_d = Vec::new();
-        for spec in &specs {
-            let [tmcc, dylect] = chunks.next().expect("report per key") else {
-                unreachable!("chunks of 2");
-            };
-            speedups.push(dylect.speedup_over(tmcc));
-            ratios_t.push(effective_ratio(spec, mode, tmcc));
-            ratios_d.push(effective_ratio(spec, mode, dylect));
-            eprintln!("[table1] {setting:?} {} done", spec.name);
-        }
-        rows.push(vec![
-            format!("{setting:?}"),
-            format!("{:.2}", geomean(&ratios_t)),
-            format!("{:.2}", geomean(&ratios_d)),
-            format!("{:.4}", geomean(&speedups)),
-        ]);
-    }
-    print_table(
-        "Table 1: compression ratio and DyLeCT-vs-TMCC performance (paper: equal ratios, +10.25% perf; MC-only change)",
-        &[
-            "setting",
-            "tmcc_effective_ratio",
-            "dylect_effective_ratio",
-            "dylect_speedup_over_tmcc",
-        ],
-        &rows,
-    );
-    println!("# hardware changes: TMCC modifies MC + L2$; DyLeCT modifies the MC only");
+    dylect_bench::figures::main(env!("CARGO_BIN_NAME"));
 }

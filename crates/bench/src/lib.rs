@@ -1,11 +1,14 @@
 //! Shared experiment harness for the paper-reproduction binaries.
 //!
-//! Every `src/bin/*` binary regenerates one table or figure of the DyLeCT
-//! paper. They share this harness: it builds the paper's system (Table 3)
+//! The `src/bin/*` binaries regenerate the DyLeCT paper's tables and
+//! figures. They share this harness: it builds the paper's system (Table 3)
 //! for a benchmark × scheme × compression-setting combination, runs
-//! warmup + measurement, and returns the [`RunReport`]. The figures
-//! `allfigs` prints are each defined once, in [`figures`]; their per-figure
-//! binaries print exactly their section of `allfigs`.
+//! warmup + measurement, and returns the [`RunReport`]. Every table is a
+//! [`figures::Figure`], defined once in [`figures`]: each figure binary is
+//! the same shim that runs its one figure, and `allfigs` prints every
+//! figure of [`figures::ALLFIGS`]. The instruments `fig_divergence`,
+//! `fig_selfprofile` and `fig_tenants` are binaries of their own; every
+//! binary parses the one argument grammar of [`figures::Args`].
 //!
 //! Runs are declared as a list of [`RunKey`]s and executed by the
 //! [`runner`] module: independent simulations run in parallel (one worker
@@ -29,7 +32,7 @@ pub mod runner;
 use dylect_sim::{SchemeKind, SystemConfig};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
-pub use runner::{run_jobs, run_matrix, setting_label, Job, RunKey, Runner};
+pub use runner::{setting_label, Job, RunKey, Runner};
 
 /// Effort level of a reproduction run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -64,15 +67,6 @@ impl Mode {
             warmup_ops: 800_000,
             measure_ops: 200_000,
         }
-    }
-
-    /// Reads the mode from the CLI (`--quick`) or `DYLECT_QUICK=1`; a
-    /// malformed `DYLECT_QUICK` prints a usage message and exits with
-    /// status 2.
-    pub fn from_env() -> Mode {
-        let cli_quick = std::env::args().any(|a| a == "--quick");
-        let raw = std::env::var("DYLECT_QUICK").ok();
-        dylect_sim_core::env::or_usage_exit(Mode::select(cli_quick, raw.as_deref()))
     }
 
     /// The mode for a `--quick` flag and a raw `DYLECT_QUICK` value, which
@@ -146,12 +140,12 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     print!("{}", format_table(title, header, rows));
 }
 
-/// The benchmark names in the paper's presentation order. With `--all` on
-/// the command line this is the full twelve-benchmark suite; otherwise the
-/// reduced representative subset, keeping single-figure runs affordable
-/// (the simulator is single-threaded).
-pub fn suite() -> Vec<BenchmarkSpec> {
-    if std::env::args().any(|a| a == "--all") {
+/// The benchmarks in the paper's presentation order: with `all` the full
+/// twelve-benchmark suite; otherwise the reduced representative subset,
+/// keeping single-figure runs affordable (the simulator is
+/// single-threaded).
+pub fn suite(all: bool) -> Vec<BenchmarkSpec> {
+    if all {
         BenchmarkSpec::suite()
     } else {
         reduced_suite()

@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use dylect_cpu::PageSizeMode;
-use dylect_sim::{RunReport, SchemeKind, System, SystemConfig};
+use dylect_sim::{RunReport, SchemeBuilder, SchemeKind, System, SystemConfig};
 use dylect_sim_core::digest::{self, DigestRecord};
 use dylect_sim_core::env::{self, or_usage_exit};
 use dylect_sim_core::{blackbox, prof};
@@ -162,17 +162,24 @@ impl RunKey {
     /// shared matrix and Figure 3's explicit 2 MB-page run) collapse to the
     /// same fingerprint, so they share one cache entry and one execution.
     fn fingerprint(&self) -> u64 {
-        let cfg = self.config();
         let input = format!(
-            "report-v{};cfg{:?};spec{:?};warm{};measure{};{}",
+            "report-v{};{};{}",
             RunReport::CACHE_FORMAT_VERSION,
-            cfg,
-            self.spec,
-            warmup_for(&self.spec, self.mode),
-            self.mode.measure_ops,
+            self.run_input(),
             telemetry_env_fingerprint(),
         );
         dylect_sim_core::kv::fingerprint64(&input)
+    }
+
+    /// The resolved configuration and run windows, as fingerprint input.
+    fn run_input(&self) -> String {
+        format!(
+            "cfg{:?};spec{:?};warm{};measure{}",
+            self.config(),
+            self.spec,
+            warmup_for(&self.spec, self.mode),
+            self.mode.measure_ops,
+        )
     }
 
     /// Fingerprint of the run's *warmup prefix*: everything that determines
@@ -293,7 +300,7 @@ impl RunKey {
         (report, sys.take_digests())
     }
 
-    fn into_job(self) -> Job {
+    pub(crate) fn into_job(self) -> Job {
         let label = self.label();
         let cache_name = format!("{}-{:016x}", sanitize(&label), self.fingerprint());
         let digest_stem = cache_name.clone();
@@ -306,6 +313,18 @@ impl RunKey {
                 report
             }),
         }
+    }
+
+    /// A job running this key's machine with each memory controller's
+    /// scheme built by `build` instead of from `scheme`, for knobs
+    /// [`SchemeKind`] does not expose. `tuning` names those knobs; it
+    /// extends the label and the cache fingerprint.
+    pub fn tuned_job(self, tuning: &str, build: Box<SchemeBuilder>) -> Job {
+        let input = format!("{};{tuning}", self.run_input());
+        Job::custom(format!("{}/{tuning}", self.label()), &input, move || {
+            let mut sys = System::with_schemes(self.config(), &self.spec, &*build);
+            sys.run(warmup_for(&self.spec, self.mode), self.mode.measure_ops)
+        })
     }
 }
 
@@ -332,9 +351,9 @@ fn write_digest_artifact(stem: &str, digests: &[DigestRecord]) {
 /// One schedulable unit of work: a label, an optional cache identity, and
 /// the closure that produces the report.
 ///
-/// Binaries whose variants cannot be expressed as a [`RunKey`] (the
-/// promotion-policy and cache-policy ablations assemble schemes by hand)
-/// submit custom jobs and still get pooling + caching.
+/// Runs that are not a plain [`RunKey`] (tuned schemes, telemetry runs,
+/// co-scheduled tenants) submit custom jobs and still get pooling, and
+/// caching when they name a cache entry.
 pub struct Job {
     /// Progress/observability label.
     pub label: String,
@@ -531,12 +550,13 @@ impl Runner {
     /// - `DYLECT_JOBS=n` — worker count (default: available parallelism);
     /// - `DYLECT_CACHE_DIR=path` — cache location (default `results/cache`);
     ///   like every directory variable here, a blank value is a usage error;
-    /// - `--no-cache` / `DYLECT_NO_CACHE=1` — ignore existing cache entries
-    ///   (fresh results are still written, refreshing the cache);
+    /// - `no_cache` (the `--no-cache` flag) or `DYLECT_NO_CACHE=1` — ignore
+    ///   existing cache entries (fresh results are still written,
+    ///   refreshing the cache);
     /// - `DYLECT_PROF=1` — host self-profiling (see `dylect_sim_core::prof`);
     /// - `DYLECT_PROGRESS_DIR=path` — live-progress markers for
     ///   `dylect-serve` (default `results/progress`).
-    pub fn from_env() -> Runner {
+    pub fn from_env(no_cache: bool) -> Runner {
         or_usage_exit(prof::init_from_env());
         or_usage_exit(digest::init_from_env());
         // Any crash from here on leaves a flight-recorder dump behind.
@@ -544,7 +564,7 @@ impl Runner {
         let jobs = jobs_from_env()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let no_cache = or_usage_exit(parse_no_cache(
-            std::env::args().any(|a| a == "--no-cache"),
+            no_cache,
             std::env::var("DYLECT_NO_CACHE").ok().as_deref(),
         ));
         // Workers read the checkpoint directory; reject a blank one before
@@ -734,17 +754,6 @@ fn write_bytes_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)
-}
-
-/// Runs the matrix with the environment-configured runner (the common
-/// entry point for the figure binaries).
-pub fn run_matrix(keys: Vec<RunKey>) -> Vec<RunReport> {
-    Runner::from_env().run_matrix(keys)
-}
-
-/// Runs custom jobs with the environment-configured runner.
-pub fn run_jobs(jobs: Vec<Job>) -> Vec<RunReport> {
-    Runner::from_env().run_jobs(jobs)
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ pub enum HostPhase {
     CheckpointWrite,
     /// `dylect-serve` request handling (read + route + respond).
     ServeRequest,
-    /// Telemetry export (`Telemetry::export_to`).
+    /// Telemetry export (`Telemetry::artifacts`).
     Export,
 }
 

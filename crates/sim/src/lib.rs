@@ -28,4 +28,4 @@ pub mod system;
 pub use backend::{SharedMemory, SharedStats};
 pub use config::{SchemeKind, SystemConfig};
 pub use report::RunReport;
-pub use system::{System, TenantSummary};
+pub use system::{SchemeBuilder, System, TenantSummary};

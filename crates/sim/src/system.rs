@@ -1,5 +1,6 @@
 //! The full simulated system and its run loop.
 
+use dylect_compression::CompressibilityProfile;
 use dylect_core::{Dylect, DylectConfig, NaiveDynamic, NaiveDynamicConfig};
 use dylect_cpu::{Core, PageTableLayout};
 use dylect_dram::{Dram, DramConfig};
@@ -89,6 +90,12 @@ pub struct System {
     perturb_fired: bool,
 }
 
+/// Builds one memory controller's scheme from its OS pages, its DRAM, the
+/// benchmark's compressibility profile and its seed (see
+/// [`System::with_schemes`]).
+pub type SchemeBuilder =
+    dyn Fn(u64, &Dram, CompressibilityProfile, u64) -> Box<dyn MemoryScheme> + Send;
+
 /// Ops retired between writeback drains, and the longest run the
 /// retirement loop generates at once. Large enough to amortise the loop
 /// setup, small enough that the three parallel arrays (11 bytes/op) stay
@@ -107,39 +114,75 @@ impl System {
     /// Panics if the footprint cannot fit the configured DRAM (fully
     /// compressed for compressing schemes, uncompressed for the baseline).
     pub fn new(config: SystemConfig, spec: &BenchmarkSpec) -> Self {
-        let footprint = spec.footprint_pages(config.scale);
-        let layout = Self::layout_for(&config, footprint);
-        let os_pages_total = layout.total_os_pages();
-        let n_mc = config.memory_controllers.max(1) as u64;
-        // Pages interleave across MCs; each MC is sized for its share of the
-        // OS-visible space and of the DRAM (rounded to the 1 MiB geometry
-        // granule).
-        let os_pages = os_pages_total.div_ceil(n_mc);
-        let dram_bytes_per_mc = (config.dram_bytes / n_mc).div_ceil(1 << 20) << 20;
-        let seed = config.seed;
+        let kind = config.scheme.clone();
+        Self::with_schemes(config, spec, &move |os_pages, dram, profile, seed| {
+            Self::build_scheme(&kind, os_pages, dram, profile, seed)
+        })
+    }
 
-        let mcs: Vec<(Box<dyn MemoryScheme>, Dram)> = (0..n_mc)
-            .map(|mc_idx| {
-                let dram = Dram::new(DramConfig::paper(dram_bytes_per_mc, config.dram_ranks));
-                let profile = spec.workload(config.scale, seed).profile().clone();
-                let seed = seed.wrapping_add(mc_idx * 0x9E37);
-                let scheme = Self::build_scheme(&config.scheme, os_pages, &dram, profile, seed);
-                (scheme, dram)
-            })
-            .collect();
-
-        let shared =
-            SharedMemory::new_multi(config.l3_bytes, config.l3_ways, config.l3_latency, mcs);
+    /// [`System::new`] with each memory controller's scheme built by
+    /// `build` instead of from `config.scheme`: the same sizing, seeds
+    /// and construction order, for harnesses that tune knobs
+    /// [`SchemeKind`] does not expose. `build` gets the controller's OS
+    /// pages, its DRAM, the benchmark's compressibility profile and the
+    /// controller's seed.
+    pub fn with_schemes(config: SystemConfig, spec: &BenchmarkSpec, build: &SchemeBuilder) -> Self {
+        let layout = Self::layout_for(&config, spec.footprint_pages(config.scale));
+        let profile = || spec.workload(config.scale, config.seed).profile().clone();
+        let shared = Self::memory(&config, layout.total_os_pages(), &profile, build);
         let cores = (0..config.cores)
             .map(|_| Core::new(config.core, layout))
             .collect();
         let workloads = (0..config.cores)
-            .map(|i| spec.workload(config.scale, seed.wrapping_add(i as u64 * 7919)))
+            .map(|i| spec.workload(config.scale, config.seed.wrapping_add(i as u64 * 7919)))
             .collect();
+        let names = vec![spec.name.to_owned(); config.cores];
+        Self::assemble(
+            config,
+            spec.name.to_owned(),
+            names,
+            cores,
+            workloads,
+            shared,
+        )
+    }
 
+    /// The shared memory side: the L3 and one scheme + DRAM pair per memory
+    /// controller. Pages interleave across MCs; each MC is sized for its
+    /// share of the `os_pages` OS-visible pages and of the DRAM (rounded to
+    /// the 1 MiB geometry granule), and `build` makes its scheme from the
+    /// compressibility `profile` gives.
+    fn memory(
+        config: &SystemConfig,
+        os_pages: u64,
+        profile: &dyn Fn() -> CompressibilityProfile,
+        build: &SchemeBuilder,
+    ) -> SharedMemory {
+        let n_mc = config.memory_controllers.max(1) as u64;
+        let mc_pages = os_pages.div_ceil(n_mc);
+        let mc_dram_bytes = (config.dram_bytes / n_mc).div_ceil(1 << 20) << 20;
+        let mcs = (0..n_mc)
+            .map(|mc| {
+                let dram = Dram::new(DramConfig::paper(mc_dram_bytes, config.dram_ranks));
+                let seed = config.seed.wrapping_add(mc * 0x9E37);
+                (build(mc_pages, &dram, profile(), seed), dram)
+            })
+            .collect();
+        SharedMemory::new_multi(config.l3_bytes, config.l3_ways, config.l3_latency, mcs)
+    }
+
+    /// A system of these parts, with its run state at the start.
+    fn assemble(
+        config: SystemConfig,
+        benchmark: String,
+        tenant_names: Vec<String>,
+        cores: Vec<Core>,
+        workloads: Vec<SyntheticWorkload>,
+        shared: SharedMemory,
+    ) -> Self {
         System {
-            benchmark: spec.name.to_owned(),
-            tenant_names: vec![spec.name.to_owned(); config.cores],
+            benchmark,
+            tenant_names,
             config,
             cores,
             workloads,
@@ -207,9 +250,6 @@ impl System {
             .map(|(b, l)| b + l.total_os_pages())
             .expect("non-empty");
 
-        let n_mc = config.memory_controllers.max(1) as u64;
-        let os_pages = machine_pages.div_ceil(n_mc);
-        let dram_bytes_per_mc = (config.dram_bytes / n_mc).div_ceil(1 << 20) << 20;
         let seed = config.seed;
         let benchmark = tenants.iter().map(|t| t.name).collect::<Vec<_>>().join("+");
 
@@ -230,19 +270,15 @@ impl System {
                     t.compression_ratio * t.footprint_pages(config.scale) as f64 / total as f64
                 })
                 .sum::<f64>();
-            dylect_compression::CompressibilityProfile::with_mean_ratio(&benchmark, mean)
+            CompressibilityProfile::with_mean_ratio(&benchmark, mean)
         };
-        let mcs: Vec<(Box<dyn MemoryScheme>, Dram)> = (0..n_mc)
-            .map(|mc_idx| {
-                let dram = Dram::new(DramConfig::paper(dram_bytes_per_mc, config.dram_ranks));
-                let seed = seed.wrapping_add(mc_idx * 0x9E37);
-                let scheme =
-                    Self::build_scheme(&config.scheme, os_pages, &dram, profile.clone(), seed);
-                (scheme, dram)
-            })
-            .collect();
-        let shared =
-            SharedMemory::new_multi(config.l3_bytes, config.l3_ways, config.l3_latency, mcs);
+        let kind = config.scheme.clone();
+        let shared = Self::memory(
+            &config,
+            machine_pages,
+            &|| profile.clone(),
+            &move |pages, dram, p, seed| Self::build_scheme(&kind, pages, dram, p, seed),
+        );
 
         let cores = layouts
             .iter()
@@ -260,32 +296,15 @@ impl System {
             .map(|(i, t)| t.workload(config.scale, seed.wrapping_add(i as u64 * 7919)))
             .collect();
 
-        System {
-            benchmark,
-            tenant_names: tenants.iter().map(|t| t.name.to_owned()).collect(),
-            config,
-            cores,
-            workloads,
-            shared,
-            measure_start: Time::ZERO,
-            telemetry: None,
-            ops_clock: None,
-            ops_in_epoch: 0,
-            instr_base: 0,
-            batch: OpBatch::with_capacity(BATCH_OPS as usize),
-            digest_ops: 0,
-            digest_window: digest::window_ops(),
-            digests: Vec::new(),
-            perturb_at: None,
-            perturb_fired: false,
-        }
+        let names = tenants.iter().map(|t| t.name.to_owned()).collect();
+        Self::assemble(config, benchmark, names, cores, workloads, shared)
     }
 
     fn build_scheme(
         kind: &SchemeKind,
         os_pages: u64,
         dram: &Dram,
-        profile: dylect_compression::CompressibilityProfile,
+        profile: CompressibilityProfile,
         seed: u64,
     ) -> Box<dyn MemoryScheme> {
         match kind {
@@ -334,39 +353,6 @@ impl System {
                 profile,
                 seed,
             )),
-        }
-    }
-
-    /// Builds a system around an externally assembled shared-memory side —
-    /// for harnesses that sweep scheme parameters the [`SchemeKind`] enum
-    /// does not expose.
-    pub fn from_parts(config: SystemConfig, spec: &BenchmarkSpec, shared: SharedMemory) -> Self {
-        let footprint = spec.footprint_pages(config.scale);
-        let layout = Self::layout_for(&config, footprint);
-        let cores = (0..config.cores)
-            .map(|_| Core::new(config.core, layout))
-            .collect();
-        let workloads = (0..config.cores)
-            .map(|i| spec.workload(config.scale, config.seed.wrapping_add(i as u64 * 7919)))
-            .collect();
-        System {
-            benchmark: spec.name.to_owned(),
-            tenant_names: vec![spec.name.to_owned(); config.cores],
-            config,
-            cores,
-            workloads,
-            shared,
-            measure_start: Time::ZERO,
-            telemetry: None,
-            ops_clock: None,
-            ops_in_epoch: 0,
-            instr_base: 0,
-            batch: OpBatch::with_capacity(BATCH_OPS as usize),
-            digest_ops: 0,
-            digest_window: digest::window_ops(),
-            digests: Vec::new(),
-            perturb_at: None,
-            perturb_fired: false,
         }
     }
 
@@ -789,8 +775,8 @@ impl System {
     /// for snapshot purposes: the resolved configuration (scheme, seeds,
     /// geometry, core/MC counts) and the benchmark. Schemes additionally
     /// guard their own construction inputs (compressibility digest, seed)
-    /// inside their streams, so a `from_parts` system whose hand-built
-    /// scheme differs from `config.scheme` still fails on restore.
+    /// inside their streams, so a [`System::with_schemes`] system whose
+    /// tuned scheme differs from `config.scheme` still fails on restore.
     fn snapshot_fingerprint(&self) -> u64 {
         dylect_sim_core::kv::fingerprint64(&format!(
             "system-snapshot;bench={};cfg={:?}",

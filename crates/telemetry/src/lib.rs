@@ -36,7 +36,7 @@
 //! All are observation-only: enabling telemetry never changes simulated
 //! behavior (a property pinned by the workspace determinism test).
 //!
-//! [`Telemetry::export_to`] writes four files per run — series JSONL,
+//! [`Telemetry::artifacts`] renders four files per run — series JSONL,
 //! event JSONL, latency JSONL, and Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) — plus a fifth, shadow JSONL, when
 //! shadow probing is on; all consumed by the `dylect-stats` CLI, which can
@@ -53,8 +53,6 @@ pub mod series;
 pub mod shadow;
 
 use std::cell::{Cell, Ref, RefCell};
-use std::io;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use dylect_memctl::controller::CteCacheGeometry;
@@ -300,53 +298,31 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Writes `<stem>.series.jsonl`, `<stem>.events.jsonl`,
-    /// `<stem>.latency.jsonl`, and `<stem>.trace.json` — plus
-    /// `<stem>.shadow.jsonl` when shadow probing is enabled; returns the
-    /// paths written.
-    pub fn export_to(&self, stem: &Path) -> io::Result<Vec<PathBuf>> {
+    /// The run's exports as (file suffix, contents): `.series.jsonl`,
+    /// `.events.jsonl`, `.latency.jsonl` and `.trace.json`, plus
+    /// `.shadow.jsonl` when shadow probing is enabled.
+    pub fn artifacts(&self) -> Vec<(&'static str, String)> {
         // Host-profiling timer only; the exported bytes are identical with
         // profiling on or off.
         let _p = prof::scope(prof::HostPhase::Export);
-        if let Some(dir) = stem.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let with_ext = |ext: &str| -> PathBuf {
-            let mut name = stem.file_name().unwrap_or_default().to_os_string();
-            name.push(ext);
-            stem.with_file_name(name)
-        };
         let journal = self.journal.borrow();
         let attribution = self.attribution.borrow();
         let mut outputs = vec![
+            (".series.jsonl", export::series_jsonl(&self.sampler)),
+            (".events.jsonl", export::events_jsonl(&journal)),
+            (".latency.jsonl", export::latency_jsonl(&attribution)),
             (
-                with_ext(".series.jsonl"),
-                export::series_jsonl(&self.sampler),
-            ),
-            (with_ext(".events.jsonl"), export::events_jsonl(&journal)),
-            (
-                with_ext(".latency.jsonl"),
-                export::latency_jsonl(&attribution),
-            ),
-            (
-                with_ext(".trace.json"),
+                ".trace.json",
                 export::chrome_trace(&journal, attribution.spans()),
             ),
         ];
         if self.cfg.shadow {
             outputs.push((
-                with_ext(".shadow.jsonl"),
+                ".shadow.jsonl",
                 export::shadow_jsonl(&self.shadow.borrow(), &self.provenance.borrow()),
             ));
         }
-        let mut paths = Vec::new();
-        for (path, text) in outputs {
-            std::fs::write(&path, text)?;
-            paths.push(path);
-        }
-        Ok(paths)
+        outputs
     }
 }
 
@@ -397,20 +373,23 @@ mod tests {
             instructions: 1000,
             ..SampleSnapshot::default()
         });
-        let dir = std::env::temp_dir().join(format!("dylect-telemetry-{}", std::process::id()));
-        let paths = t.export_to(&dir.join("run")).unwrap();
-        assert_eq!(paths.len(), 4);
-        for p in &paths {
-            assert!(p.exists(), "{}", p.display());
-        }
-        let series = std::fs::read_to_string(&paths[0]).unwrap();
-        assert!(series.contains("\"series\":\"cte_hit_rate\""));
-        let latency = std::fs::read_to_string(&paths[2]).unwrap();
+        let files = t.artifacts();
+        let suffixes: Vec<&str> = files.iter().map(|(s, _)| *s).collect();
+        assert_eq!(
+            suffixes,
+            [
+                ".series.jsonl",
+                ".events.jsonl",
+                ".latency.jsonl",
+                ".trace.json"
+            ]
+        );
+        assert!(files[0].1.contains("\"series\":\"cte_hit_rate\""));
+        let latency = &files[2].1;
         assert!(latency.contains("\"path\":\"short_cte_hit\""), "{latency}");
-        let trace = std::fs::read_to_string(&paths[3]).unwrap();
+        let trace = &files[3].1;
         assert!(trace.contains("\"name\":\"compaction\""));
         assert!(trace.contains("\"ph\":\"B\""), "span pairs exported");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -524,11 +503,20 @@ mod tests {
         // An explicit 0 and garbage are hard errors naming the variable,
         // not silent defaults.
         let zero = TelemetryConfig::parse_span_sample(Some("0")).unwrap_err();
-        assert!(zero.contains("DYLECT_SPAN_SAMPLE") && zero.contains("positive"), "{zero}");
+        assert!(
+            zero.contains("DYLECT_SPAN_SAMPLE") && zero.contains("positive"),
+            "{zero}"
+        );
         let junk = TelemetryConfig::parse_span_sample(Some("junk")).unwrap_err();
-        assert!(junk.contains("DYLECT_SPAN_SAMPLE") && junk.contains("\"junk\""), "{junk}");
+        assert!(
+            junk.contains("DYLECT_SPAN_SAMPLE") && junk.contains("\"junk\""),
+            "{junk}"
+        );
         for bad in ["-3", "1.5", "0x10"] {
-            assert!(TelemetryConfig::parse_span_sample(Some(bad)).is_err(), "{bad}");
+            assert!(
+                TelemetryConfig::parse_span_sample(Some(bad)).is_err(),
+                "{bad}"
+            );
         }
     }
 
@@ -578,12 +566,11 @@ mod tests {
         probe.emit(Time::ZERO, McEvent::Promotion, 3);
         assert_eq!(t.shadow().classes_total().compulsory, 1);
         assert_eq!(t.provenance().pages_tracked(), 1);
-        let dir = std::env::temp_dir().join(format!("dylect-shadow-{}", std::process::id()));
-        let paths = t.export_to(&dir.join("run")).unwrap();
-        assert_eq!(paths.len(), 5, "shadow jsonl rides along");
-        let shadow = std::fs::read_to_string(paths.last().unwrap()).unwrap();
+        let files = t.artifacts();
+        assert_eq!(files.len(), 5, "shadow jsonl rides along");
+        let (suffix, shadow) = files.last().unwrap();
+        assert_eq!(*suffix, ".shadow.jsonl");
         assert!(shadow.contains("\"shadow\":\"miss_class\""), "{shadow}");
-        std::fs::remove_dir_all(&dir).ok();
 
         // Disabled: same four files as before this subsystem existed.
         let t2 = Telemetry::new(TelemetryConfig::default());
@@ -594,8 +581,6 @@ mod tests {
             key: 1,
         });
         assert!(!t2.shadow().is_active(), "records ignored when disabled");
-        let dir2 = std::env::temp_dir().join(format!("dylect-noshadow-{}", std::process::id()));
-        assert_eq!(t2.export_to(&dir2.join("run")).unwrap().len(), 4);
-        std::fs::remove_dir_all(&dir2).ok();
+        assert_eq!(t2.artifacts().len(), 4);
     }
 }

@@ -104,7 +104,7 @@ fn shadow_exports_are_deterministic() {
     // smoke-checks end-to-end via `dylect-stats diff`.
     let spec = BenchmarkSpec::by_name("omnetpp").expect("in suite");
     let mode = tiny_mode();
-    let export = |tag: &str| {
+    let export = || {
         let cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
         let mut sys = System::new(cfg, &spec);
         sys.enable_telemetry(dylect_telemetry::TelemetryConfig {
@@ -114,32 +114,19 @@ fn shadow_exports_are_deterministic() {
         });
         sys.run(mode.warmup_ops, mode.measure_ops);
         let telemetry = sys.take_telemetry().expect("enabled above");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-shadow-det-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("omnetpp-dylect"))
-            .expect("export writes");
-        assert!(
-            paths.iter().any(|p| p
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().ends_with(".shadow.jsonl"))),
-            "shadow export missing from {paths:?}"
-        );
-        let contents: Vec<(String, String)> = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
+        let files: Vec<(String, String)> = telemetry
+            .artifacts()
+            .into_iter()
+            .map(|(suffix, text)| (suffix.to_owned(), text))
             .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
+        assert!(
+            files.iter().any(|(suffix, _)| suffix == ".shadow.jsonl"),
+            "shadow export missing"
+        );
+        files
     };
-    let a = export("a");
-    let b = export("b");
+    let a = export();
+    let b = export();
     assert_eq!(a.len(), b.len());
     for ((name_a, body_a), (name_b, body_b)) in a.iter().zip(&b) {
         assert_eq!(name_a, name_b);
@@ -161,25 +148,13 @@ fn snapshot_restore_pins_reports_and_exports_for_every_scheme() {
         span_sample: 16,
         ..dylect_telemetry::TelemetryConfig::default()
     };
-    let export = |mut sys: System, tag: &str| -> Vec<(String, String)> {
+    let export = |mut sys: System| -> Vec<(String, String)> {
         let telemetry = sys.take_telemetry().expect("enabled");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-snap-det-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("omnetpp"))
-            .expect("export writes");
-        let contents = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
+        telemetry
+            .artifacts()
+            .into_iter()
+            .map(|(suffix, text)| (suffix.to_owned(), text))
+            .collect()
     };
     for scheme in [
         SchemeKind::tmcc(),
@@ -206,8 +181,8 @@ fn snapshot_restore_pins_reports_and_exports_for_every_scheme() {
             r_resumed.to_cache_text(),
             "{label}: resumed report differs from straight-through"
         );
-        let e_straight = export(straight, &format!("s-{label}"));
-        let e_resumed = export(resumed, &format!("r-{label}"));
+        let e_straight = export(straight);
+        let e_resumed = export(resumed);
         assert_eq!(
             e_straight.len(),
             e_resumed.len(),
@@ -237,25 +212,13 @@ fn host_profiling_never_leaks_into_reports_or_exports() {
         span_sample: 16,
         ..dylect_telemetry::TelemetryConfig::default()
     };
-    let export = |mut sys: System, tag: &str| -> Vec<(String, String)> {
+    let export = |mut sys: System| -> Vec<(String, String)> {
         let telemetry = sys.take_telemetry().expect("enabled");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-prof-det-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("omnetpp"))
-            .expect("export writes");
-        let contents = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
+        telemetry
+            .artifacts()
+            .into_iter()
+            .map(|(suffix, text)| (suffix.to_owned(), text))
+            .collect()
     };
     for scheme in [
         SchemeKind::tmcc(),
@@ -263,7 +226,7 @@ fn host_profiling_never_leaks_into_reports_or_exports() {
         SchemeKind::NaiveDynamic,
     ] {
         let label = scheme.label();
-        let run_with = |prof_on: bool, tag: &str| {
+        let run_with = |prof_on: bool| {
             let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
             cfg.memory_controllers = 2;
             let mut sys = System::new(cfg, &spec);
@@ -274,10 +237,10 @@ fn host_profiling_never_leaks_into_reports_or_exports() {
             }
             let report = sys.run(mode.warmup_ops, mode.measure_ops);
             prof::set_enabled(false);
-            (report.to_cache_text(), export(sys, tag))
+            (report.to_cache_text(), export(sys))
         };
-        let (r_off, e_off) = run_with(false, &format!("off-{label}"));
-        let (r_on, e_on) = run_with(true, &format!("on-{label}"));
+        let (r_off, e_off) = run_with(false);
+        let (r_on, e_on) = run_with(true);
         assert_eq!(
             r_off, r_on,
             "{label}: profiling changed the report cache text"
@@ -337,25 +300,13 @@ fn state_digests_never_leak_into_reports_or_exports() {
         span_sample: 16,
         ..dylect_telemetry::TelemetryConfig::default()
     };
-    let export = |mut sys: System, tag: &str| -> Vec<(String, String)> {
+    let export = |mut sys: System| -> Vec<(String, String)> {
         let telemetry = sys.take_telemetry().expect("enabled");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-digest-det-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("omnetpp"))
-            .expect("export writes");
-        let contents = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
+        telemetry
+            .artifacts()
+            .into_iter()
+            .map(|(suffix, text)| (suffix.to_owned(), text))
+            .collect()
     };
     for scheme in [
         SchemeKind::tmcc(),
@@ -363,7 +314,7 @@ fn state_digests_never_leak_into_reports_or_exports() {
         SchemeKind::NaiveDynamic,
     ] {
         let label = scheme.label();
-        let run_with = |digest_on: bool, tag: &str| {
+        let run_with = |digest_on: bool| {
             let mut cfg = SystemConfig::quick(&spec, scheme.clone(), CompressionSetting::High);
             cfg.memory_controllers = 2;
             let mut sys = System::new(cfg, &spec);
@@ -381,10 +332,10 @@ fn state_digests_never_leak_into_reports_or_exports() {
             } else {
                 assert!(digests.is_empty(), "{label}: captured while disabled");
             }
-            (report.to_cache_text(), export(sys, tag))
+            (report.to_cache_text(), export(sys))
         };
-        let (r_off, e_off) = run_with(false, &format!("off-{label}"));
-        let (r_on, e_on) = run_with(true, &format!("on-{label}"));
+        let (r_off, e_off) = run_with(false);
+        let (r_on, e_on) = run_with(true);
         assert_eq!(
             r_off, r_on,
             "{label}: digests changed the report cache text"
@@ -503,25 +454,13 @@ fn scenario_runs_are_deterministic_across_jobs_and_resume() {
         span_sample: 16,
         ..dylect_telemetry::TelemetryConfig::default()
     };
-    let export = |mut sys: System, tag: &str| -> Vec<(String, String)> {
+    let export = |mut sys: System| -> Vec<(String, String)> {
         let telemetry = sys.take_telemetry().expect("enabled");
-        let dir =
-            std::env::temp_dir().join(format!("dylect-scen-det-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = telemetry
-            .export_to(&dir.join("scenario"))
-            .expect("export writes");
-        let contents = paths
-            .iter()
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read_to_string(p).expect("export readable"),
-                )
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        contents
+        telemetry
+            .artifacts()
+            .into_iter()
+            .map(|(suffix, text)| (suffix.to_owned(), text))
+            .collect()
     };
     for nested in [false, true] {
         let raw = format!(
@@ -555,8 +494,8 @@ fn scenario_runs_are_deterministic_across_jobs_and_resume() {
             "{label}: cache text differs after restore"
         );
 
-        let e1 = export(s1, &format!("s-{nested}"));
-        let er = export(sr, &format!("r-{nested}"));
+        let e1 = export(s1);
+        let er = export(sr);
         assert_eq!(e1.len(), er.len(), "{label}: export sets differ");
         for (a, b) in e1.iter().zip(&er) {
             assert_eq!(a.0, b.0, "{label}");

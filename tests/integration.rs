@@ -141,3 +141,29 @@ fn report_ratios_are_consistent() {
     assert!((split - hit).abs() < 1e-9, "split {split} != hit {hit}");
     assert!(r.bus_utilization() <= 1.0 + 1e-9);
 }
+
+/// A figure whose `--out` cannot be created fails before it simulates,
+/// with exit status 1 and an error naming the path.
+#[test]
+fn an_unwritable_out_dir_fails_the_figure_run() {
+    let tmp = std::env::temp_dir().join(format!("dylect-out-test-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let file = tmp.join("file");
+    std::fs::write(&file, "a regular file").expect("temp file");
+    let out = file.join("out");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_fig_warmup"))
+        .args(["--quick", "--out"])
+        .arg(&out)
+        .env("DYLECT_CACHE_DIR", tmp.join("cache"))
+        .env("DYLECT_PROGRESS_DIR", tmp.join("progress"))
+        .output()
+        .expect("fig_warmup runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&out.display().to_string()), "{stderr}");
+    assert!(
+        !stderr.contains("[runner]"),
+        "simulated before failing: {stderr}"
+    );
+    std::fs::remove_dir_all(&tmp).ok();
+}

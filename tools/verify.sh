@@ -111,6 +111,21 @@ for bin in fig03_hugepages fig04_tmcc_slowdown fig05_cte_sweep fig06_granularity
     [ -n "$SECTION" ] && [[ "$ALLFIGS_OUT" == *"$SECTION"* ]] \
         || { echo "figures smoke: $bin stdout is not a section of allfigs"; exit 1; }
 done
+# Table 1's runs are exactly Figure 18's TMCC and DyLeCT cells, so after
+# allfigs it simulates nothing either.
+DYLECT_CACHE_DIR="$FIGS/cache" DYLECT_PROGRESS_DIR="$FIGS/progress" \
+    target/release/table1 --quick > /dev/null 2> "$FIGS/table1.err" \
+    || { echo "figures smoke: table1 failed"; exit 1; }
+grep -q "^\[runner\] .* 0 simulated)" "$FIGS/table1.err" \
+    || { echo "figures smoke: table1 simulated runs allfigs had cached"; exit 1; }
+# Every bench binary parses one argument grammar: an unknown argument is
+# a usage error (exit 2) before anything runs.
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    RC=0
+    "target/release/$bin" --bogus > /dev/null 2>&1 || RC=$?
+    [ "$RC" = 2 ] || { echo "figures smoke: $bin --bogus exited $RC, want 2"; exit 1; }
+done
 echo "figures smoke: OK"
 
 echo "== checkpoint smoke: repeat runs warm-start from a shared checkpoint"
