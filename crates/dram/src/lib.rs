@@ -65,7 +65,18 @@ pub struct Dram {
 
 impl Dram {
     /// Creates an idle DRAM system.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `t_rfc < t_refi`: refresh windows must not overlap.
     pub fn new(config: DramConfig) -> Self {
+        let tm = config.timing;
+        assert!(
+            tm.t_rfc < tm.t_refi,
+            "t_rfc ({}) must be shorter than t_refi ({})",
+            tm.t_rfc,
+            tm.t_refi
+        );
         let channels = (0..config.geometry.channels)
             .map(|_| ChannelScheduler::new(&config))
             .collect();
@@ -107,13 +118,24 @@ impl Dram {
     /// to schedule and [`Dram::take_completion`] to collect its finish time.
     ///
     /// Multiple requests submitted before a `drain` are scheduled together
-    /// under FR-FCFS, which is how batched transfers (page migrations, the
-    /// parallel pre-gathered + unified CTE fetches of DyLeCT) get reordered
-    /// for row-buffer locality.
+    /// under FR-FCFS, which is how mixed batches (the parallel pre-gathered
+    /// and unified CTE fetches of DyLeCT) get reordered for row-buffer
+    /// locality.
     pub fn submit(
         &mut self,
         arrival: Time,
         addr: MachineAddr,
+        op: DramOp,
+        class: RequestClass,
+    ) -> ReqId {
+        let loc = self.mapper.decode(addr);
+        self.submit_at(arrival, loc, op, class)
+    }
+
+    fn submit_at(
+        &mut self,
+        arrival: Time,
+        loc: Location,
         op: DramOp,
         class: RequestClass,
     ) -> ReqId {
@@ -129,9 +151,31 @@ impl Dram {
                 self.queue.on_submit_write(self.in_flight_writes);
             }
         }
-        let loc = self.mapper.decode(addr);
         self.channels[loc.channel as usize].submit(id, arrival, loc, op, class);
         id
+    }
+
+    /// Whether no channel has a request waiting for a drain.
+    fn idle(&self) -> bool {
+        !self.channels.iter().any(ChannelScheduler::has_pending)
+    }
+
+    /// Serves `n` requests for the row of `loc` with one op, all arriving
+    /// at `arrival`, on an idle system: what submitting them and draining
+    /// would do, in closed form. Returns the last one's completion detail.
+    fn issue_train(
+        &mut self,
+        arrival: Time,
+        loc: Location,
+        op: DramOp,
+        class: RequestClass,
+        n: u64,
+    ) -> CompletionDetail {
+        let ch = &mut self.channels[loc.channel as usize];
+        ch.submit(ReqId(self.next_id), arrival, loc, op, class);
+        self.next_id += n;
+        self.queue.on_submit_train(op, n);
+        ch.issue_train(n, &mut self.stats)
     }
 
     /// Schedules all pending requests to completion.
@@ -209,6 +253,10 @@ impl Dram {
     /// Like [`Dram::access`], but returns the queue/service split along
     /// with the completion time. Schemes use this for the demand block so
     /// the attribution layer can separate DRAM queueing from service.
+    ///
+    /// On an idle system (nothing submitted and not yet drained) the
+    /// request is issued directly, as a one-burst train; otherwise it joins
+    /// the pending requests in an FR-FCFS drain. Both give the same result.
     pub fn access_detailed(
         &mut self,
         arrival: Time,
@@ -216,15 +264,25 @@ impl Dram {
         op: DramOp,
         class: RequestClass,
     ) -> CompletionDetail {
-        // Sampled host timer over submit + scheduler drain.
+        // Sampled host timer over the whole access.
         let _p = prof::sampled_scope(prof::HostPhase::DramAccess);
+        if self.idle() {
+            let loc = self.mapper.decode(addr);
+            return self.issue_train(arrival, loc, op, class, 1);
+        }
         let id = self.submit(arrival, addr, op, class);
         self.drain();
         self.take_completion_detail(id).expect("just drained")
     }
 
-    /// Submits a batch, drains, and returns the latest completion time.
-    /// Useful for multi-block transfers like page migrations.
+    /// Serves a batch of requests all arriving at `arrival` and returns the
+    /// latest completion time. Useful for multi-block transfers like page
+    /// migrations.
+    ///
+    /// On an idle system a batch whose requests all fall in one row with
+    /// one op — a page or span transfer — is issued in closed form as a
+    /// same-row train; any other batch is submitted and drained under
+    /// FR-FCFS. Both give the same result.
     ///
     /// Returns `arrival` unchanged for an empty batch.
     pub fn access_batch(
@@ -235,6 +293,33 @@ impl Dram {
     ) -> Time {
         let _p = prof::sampled_scope(prof::HostPhase::DramAccess);
         let first = self.next_id;
+        let mut addrs = addrs.into_iter();
+        if self.idle() {
+            let Some((addr, op)) = addrs.next() else {
+                return arrival;
+            };
+            let loc = self.mapper.decode(addr);
+            let row = self.mapper.row_key(addr);
+            let mut n = 1;
+            let mut other = None;
+            for (a, o) in addrs.by_ref() {
+                if o != op || self.mapper.row_key(a) != row {
+                    other = Some((self.mapper.decode(a), o));
+                    break;
+                }
+                n += 1;
+            }
+            let Some((l, o)) = other else {
+                return self.issue_train(arrival, loc, op, class, n).done;
+            };
+            // Not one row: submit what was decoded so far (the scheduler
+            // reads no column, so the first location stands for all `n`)
+            // and fall through to the drain.
+            for _ in 0..n {
+                self.submit_at(arrival, loc, op, class);
+            }
+            self.submit_at(arrival, l, o, class);
+        }
         for (a, op) in addrs {
             self.submit(arrival, a, op, class);
         }
@@ -477,6 +562,14 @@ mod tests {
         // Must wait out tRFC (350 ns) then do a cold access.
         assert_eq!(t.as_ns(), 7800.0 + 350.0 + 13.75 + 13.75 + 2.5);
         assert!(d.stats().refreshes.get() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than t_refi")]
+    fn overlapping_refresh_windows_are_rejected() {
+        let mut cfg = DramConfig::paper(1 << 30, 8);
+        cfg.timing.t_rfc = cfg.timing.t_refi;
+        Dram::new(cfg);
     }
 
     #[test]

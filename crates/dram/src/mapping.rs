@@ -66,6 +66,14 @@ impl AddressMapper {
         &self.geometry
     }
 
+    /// The row `addr` falls in, as one key: its block index with the
+    /// column bits cleared, so two addresses share a key exactly when they
+    /// decode to the same channel, rank, bank and row. Cheaper than two
+    /// decodes.
+    pub fn row_key(&self, addr: MachineAddr) -> u64 {
+        addr.block_index() & !(((1 << self.column_bits) - 1) << self.channel_bits)
+    }
+
     /// Decodes a machine-physical address into DRAM coordinates.
     ///
     /// # Panics
@@ -168,6 +176,33 @@ mod tests {
             for i in 0..20_000u64 {
                 let addr = MachineAddr::new(i * BLOCK_BYTES * 7919 % (1 << 30));
                 assert_eq!(m.decode(addr), decode_by_division(&g, addr), "{addr}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_key_is_equal_exactly_for_one_decoded_row() {
+        for channels in [1, 2] {
+            let g = DramGeometry {
+                channels,
+                ..DramGeometry::ddr4_with_capacity(1 << 30, 8)
+            };
+            let m = AddressMapper::new(g);
+            let row_of = |addr| {
+                let l = m.decode(addr);
+                (l.channel, l.rank, l.bank, l.row)
+            };
+            // Neighbours within and across rows, channels and banks.
+            for i in 0..5_000u64 {
+                let a = MachineAddr::new(i * BLOCK_BYTES * 7919 % g.capacity_bytes());
+                for d in [1, channels as u64, 127, 128, 256, 4096] {
+                    let b = MachineAddr::new((a.raw() + d * BLOCK_BYTES) % g.capacity_bytes());
+                    assert_eq!(
+                        m.row_key(a) == m.row_key(b),
+                        row_of(a) == row_of(b),
+                        "{a} {b}"
+                    );
+                }
             }
         }
     }

@@ -15,6 +15,12 @@
 //! `swap_remove`. The drain keeps that order exactly while skipping most
 //! of the per-pick scans; a `#[cfg(test)]` copy of the plain quadratic
 //! drain is the oracle that pins it.
+//!
+//! Most calls skip the drain: on an idle channel,
+//! [`ChannelScheduler::issue_train`] serves a run of same-row, same-op
+//! requests — a page transfer, or a single burst — in closed form, with
+//! the result the drain would give; a property test pins it against the
+//! drain.
 
 use dylect_sim_core::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use dylect_sim_core::Time;
@@ -295,6 +301,72 @@ impl ChannelScheduler {
         }
     }
 
+    /// Issues the one pending request and `n - 1` more like it (same
+    /// arrival, row, op and class) exactly as [`drain`](Self::drain) would
+    /// issue all `n`; returns the last one's completion detail.
+    ///
+    /// Alone in the queue, the drain issues them one after another at one
+    /// scheduling time `t`, whichever it picks. The first goes through
+    /// [`issue`](Self::issue) (refresh, hit/miss/conflict, hit streak).
+    /// Every later one is a row hit whose CAS waits on the one before
+    /// (`ready_cas`) and whose burst starts where the one before ended
+    /// (`bus_free`), so its data lands exactly `t_bl` later; and with
+    /// `t_rfc < t_refi` the first issue left `t` outside any refresh window,
+    /// so no later one touches the refresh schedule. That leaves the bank
+    /// and bus state, the hit streak and the integer counters in closed
+    /// form; only the f64 latency sum is still folded per burst, in issue
+    /// order, so it stays bit-identical.
+    pub fn issue_train(&mut self, n: u64, stats: &mut DramStats) -> CompletionDetail {
+        debug_assert!(self.pending.len() == 1 && n > 0);
+        let req = self.pending.pop().expect("one pending request");
+        let (arrival, op) = (req.arrival, req.op);
+        let t = self.sched_time.max(arrival);
+        let head = self.issue(t, &req, stats);
+        self.sched_time = t;
+        let rest = n - 1;
+        if rest == 0 {
+            return head;
+        }
+        let t_bl = self.timing.t_bl;
+        let done = head.done + t_bl * rest;
+        let bank_idx = req.bank as usize;
+        self.end_burst(bank_idx, op, done);
+        self.hit_streak[bank_idx] += rest as u32;
+        stats.record_hit_train(op, req.class, arrival, head.done, t_bl, rest);
+        let service = self.cas_to_data(op) + t_bl;
+        CompletionDetail {
+            done,
+            queue: (done - arrival) - service,
+            service,
+        }
+    }
+
+    /// CAS-to-data latency of `op`.
+    fn cas_to_data(&self, op: DramOp) -> Time {
+        match op {
+            DramOp::Read => self.timing.t_cl,
+            DramOp::Write => self.timing.t_cwl,
+        }
+    }
+
+    /// Books the bus and bank `bank_idx` for a burst of `op` whose last
+    /// data beat is at `done`: the next CAS may follow one burst after this
+    /// one's, and the bank may precharge after write recovery, but not
+    /// before `tRAS` from its activate.
+    fn end_burst(&mut self, bank_idx: usize, op: DramOp, done: Time) {
+        let tm = self.timing;
+        let cas_to_data = self.cas_to_data(op);
+        self.bus_free = done;
+        let bank = &mut self.banks[bank_idx];
+        bank.ready_cas = done - cas_to_data;
+        bank.ready_pre = match op {
+            DramOp::Read => done,
+            DramOp::Write => done + tm.t_wr,
+        }
+        .max(bank.act_time + tm.t_ras);
+        bank.ready_act = bank.ready_pre + tm.t_rp;
+    }
+
     /// Issues one request no earlier than `t`; returns its completion
     /// detail (done time plus the queue/service split) and updates
     /// bank/bus state and statistics.
@@ -325,24 +397,11 @@ impl ChannelScheduler {
         };
         bank.open_row = Some(req.row);
 
-        let cas_to_data = match req.op {
-            DramOp::Read => tm.t_cl,
-            DramOp::Write => tm.t_cwl,
-        };
+        let cas_to_data = self.cas_to_data(req.op);
         // The data burst needs the shared bus; if the bus is busy the CAS is
         // effectively delayed.
-        let data_start = (cas_ready + cas_to_data).max(self.bus_free);
-        let cas_at = data_start - cas_to_data;
-        let done = data_start + tm.t_bl;
-        self.bus_free = done;
-
-        bank.ready_cas = cas_at + tm.t_bl;
-        bank.ready_pre = match req.op {
-            DramOp::Read => done,
-            DramOp::Write => done + tm.t_wr,
-        }
-        .max(bank.act_time + tm.t_ras);
-        bank.ready_act = bank.ready_pre + tm.t_rp;
+        let done = (cas_ready + cas_to_data).max(self.bus_free) + tm.t_bl;
+        self.end_burst(bank_idx, req.op, done);
 
         // Fairness bookkeeping.
         match outcome {
@@ -428,7 +487,38 @@ impl Restore for ChannelScheduler {
 mod tests {
     use super::*;
     use crate::config::{DramGeometry, SchedulerConfig};
-    use dylect_sim_core::check::forall;
+    use crate::Dram;
+    use dylect_sim_core::check::{forall, Gen};
+    use dylect_sim_core::MachineAddr;
+    use std::cell::Cell;
+
+    impl Dram {
+        /// Forces a batch through submit + drain, whatever the scheduler's
+        /// state, and returns its last completion: the oracle for the idle
+        /// train.
+        fn access_batch_via_drain(
+            &mut self,
+            arrival: Time,
+            addrs: &[(MachineAddr, DramOp)],
+            class: RequestClass,
+        ) -> CompletionDetail {
+            let first = self.next_id;
+            for &(a, op) in addrs {
+                self.submit(arrival, a, op, class);
+            }
+            self.drain();
+            let ours = |id: ReqId| id.0 >= first;
+            let last = self
+                .completions
+                .iter()
+                .filter(|&&(id, _)| ours(id))
+                .map(|&(_, d)| d)
+                .max_by_key(|d| d.done)
+                .expect("a non-empty batch");
+            self.completions.retain(|&(id, _)| !ours(id));
+            last
+        }
+    }
 
     impl ChannelScheduler {
         /// The plain FR-FCFS drain: a min-arrival pass and a full
@@ -564,5 +654,205 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// The machine address of block `column` in `loc`'s row, inverting
+    /// the `Ro:Ra:Ba:Co:Ch` mapping.
+    fn address(g: &DramGeometry, loc: Location, column: u64) -> MachineAddr {
+        let block = ((loc.row * g.ranks as u64 + loc.rank as u64) * g.banks_total() as u64
+            + loc.bank as u64)
+            * g.blocks_per_row()
+            + column;
+        MachineAddr::new((block * g.channels as u64 + loc.channel as u64) * 64)
+    }
+
+    /// An idle same-row train — every `access_batch` of one row and op and
+    /// every `access_detailed` on an idle system — gives exactly what the
+    /// same requests forced through submit + drain give: the returned time
+    /// or detail, the stats (the f64 latency sum compared with `==`), the
+    /// queue stats, the next id and the scheduler state. Trains of 1–64
+    /// reads or writes meet closed banks, open-row hits and conflicts, at
+    /// arrivals before, at and after the scheduler's clock, just before,
+    /// inside and just after refresh windows, under every hit cap, with
+    /// general drains (mixed rows, or something already pending) between.
+    #[test]
+    fn idle_train_matches_the_fr_fcfs_drain() {
+        // First-burst outcomes and refresh stalls seen by trains (miss,
+        // hit, conflict, refresh), so the cases provably cover them.
+        let seen = [Cell::new(0u32), Cell::new(0), Cell::new(0), Cell::new(0)];
+        forall("idle train == FR-FCFS drain", 1500, |g| {
+            let cfg = DramConfig {
+                geometry: DramGeometry {
+                    channels: 1 << g.u64_below(2),
+                    ranks: 2,
+                    bank_groups: 1,
+                    banks_per_group: 2,
+                    row_bytes: 8192,
+                    rows: 3,
+                },
+                timing: DramTiming {
+                    // DDR4-3200's tRAS never outlasts a train of two or
+                    // more bursts; a slower part's can.
+                    t_ras: Time::from_ns(32.0 + 8.0 * g.u64_below(12) as f64),
+                    ..DramTiming::ddr4_3200()
+                },
+                scheduler: SchedulerConfig {
+                    row_hit_cap: g.range(0, 5) as u32,
+                },
+            };
+            let geo = cfg.geometry;
+            let tm = cfg.timing;
+            let mut fast = Dram::new(cfg);
+            let mut slow = fast.clone();
+            let random_loc = |g: &mut Gen| Location {
+                channel: g.u64_below(geo.channels as u64) as u32,
+                rank: g.u64_below(geo.ranks as u64) as u32,
+                bank: g.u64_below(geo.banks_total() as u64) as u32,
+                row: g.u64_below(geo.rows),
+                column: 0,
+            };
+            let random_op = |g: &mut Gen| {
+                if g.bool() {
+                    DramOp::Read
+                } else {
+                    DramOp::Write
+                }
+            };
+            for round in 0..g.range(1, 8) {
+                let mut loc = random_loc(g);
+                let ch = &fast.channels[loc.channel as usize];
+                let bank = &ch.banks[(loc.rank * ch.banks_per_rank + loc.bank) as usize];
+                match (g.u64_below(3), bank.open_row) {
+                    (0, Some(row)) => loc.row = row,
+                    (1, Some(row)) => loc.row = (row + g.range(1, geo.rows - 1)) % geo.rows,
+                    _ => {}
+                }
+                let sched = ch.sched_time;
+                let refresh = ch.next_refresh[loc.rank as usize];
+                let arrival = match g.u64_below(6) {
+                    0 => sched.saturating_sub(Time::from_ns(20.0)),
+                    1 => sched,
+                    2 => sched + Time::from_ns(7.5 * g.range(1, 4) as f64),
+                    3 => refresh.saturating_sub(Time::from_ps(g.range(1, 3000))),
+                    4 => refresh + Time::from_ps(g.u64_below(tm.t_rfc.as_ps())),
+                    _ => refresh + tm.t_rfc,
+                };
+                let op = random_op(g);
+                let class = RequestClass::ALL[g.u64_below(7) as usize];
+                let before = fast.stats.clone();
+                let what = match g.u64_below(5) {
+                    // A same-row batch: the train path, through
+                    // `access_batch` or called directly for its detail.
+                    0..=2 => {
+                        let n = g.range(1, 64);
+                        let start = g.u64_below(geo.blocks_per_row());
+                        let addrs: Vec<_> = (0..n)
+                            .map(|i| (address(&geo, loc, (start + i) % geo.blocks_per_row()), op))
+                            .collect();
+                        let b = slow.access_batch_via_drain(arrival, &addrs, class);
+                        if g.bool() {
+                            let a = fast.access_batch(arrival, addrs.iter().copied(), class);
+                            if a != b.done {
+                                return Err(format!(
+                                    "round {round}: {n}-burst train done {a} != {b:?}"
+                                ));
+                            }
+                        } else {
+                            let a = fast.issue_train(arrival, loc, op, class, n);
+                            if a != b {
+                                return Err(format!(
+                                    "round {round}: {n}-burst train {a:?} != {b:?}"
+                                ));
+                            }
+                        }
+                        "train"
+                    }
+                    // One burst: the train path with n = 1.
+                    3 => {
+                        let addr = address(&geo, loc, g.u64_below(geo.blocks_per_row()));
+                        let a = fast.access_detailed(arrival, addr, op, class);
+                        let b = slow.access_batch_via_drain(arrival, &[(addr, op)], class);
+                        if a != b {
+                            return Err(format!("round {round}: detail {a:?} != {b:?}"));
+                        }
+                        "single"
+                    }
+                    // A general drain, sometimes with requests already
+                    // pending: a same-row batch but for one request in
+                    // another channel, rank, bank or row or with the other
+                    // op, or random requests.
+                    _ => {
+                        for _ in 0..g.u64_below(4) {
+                            let (l, o) = (random_loc(g), random_op(g));
+                            let addr = address(&geo, l, g.u64_below(geo.blocks_per_row()));
+                            fast.submit(arrival, addr, o, class);
+                            slow.submit(arrival, addr, o, class);
+                        }
+                        let mut reqs = vec![(loc, op); g.range(2, 12) as usize];
+                        let odd = g.u64_below(reqs.len() as u64) as usize;
+                        let (l, o) = &mut reqs[odd];
+                        match g.u64_below(6) {
+                            0 => l.channel = (l.channel + 1) % geo.channels,
+                            1 => l.rank = (l.rank + 1) % geo.ranks,
+                            2 => l.bank = (l.bank + 1) % geo.banks_total(),
+                            3 => l.row = (l.row + 1) % geo.rows,
+                            4 => *o = random_op(g),
+                            _ => reqs
+                                .iter_mut()
+                                .for_each(|r| *r = (random_loc(g), random_op(g))),
+                        }
+                        let addrs: Vec<_> = reqs
+                            .iter()
+                            .map(|&(l, o)| (address(&geo, l, g.u64_below(geo.blocks_per_row())), o))
+                            .collect();
+                        let a = fast.access_batch(arrival, addrs.iter().copied(), class);
+                        let b = slow.access_batch_via_drain(arrival, &addrs, class);
+                        if a != b.done || fast.completions != slow.completions {
+                            return Err(format!("round {round}: general drain differs"));
+                        }
+                        fast.completions.clear();
+                        slow.completions.clear();
+                        "drain"
+                    }
+                };
+                if fast.stats != slow.stats {
+                    return Err(format!("round {round} ({what}): stats differ"));
+                }
+                if fast.queue != slow.queue {
+                    return Err(format!("round {round} ({what}): queue stats differ"));
+                }
+                if fast.next_id != slow.next_id {
+                    return Err(format!("round {round} ({what}): next id differs"));
+                }
+                let bytes = |d: &Dram| {
+                    let mut w = SnapWriter::new();
+                    d.write_snapshot(&mut w);
+                    w.into_bytes()
+                };
+                if bytes(&fast) != bytes(&slow) {
+                    return Err(format!("round {round} ({what}): DRAM state differs"));
+                }
+                if what != "drain" {
+                    let s = &fast.stats;
+                    let outcome = if s.row_misses != before.row_misses {
+                        0
+                    } else if s.row_conflicts != before.row_conflicts {
+                        2
+                    } else {
+                        1
+                    };
+                    seen[outcome].set(seen[outcome].get() + 1);
+                    if s.refreshes != before.refreshes && arrival >= refresh {
+                        seen[3].set(seen[3].get() + 1);
+                    }
+                }
+            }
+            Ok(())
+        });
+        let seen = seen.map(|k| k.get());
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "trains by miss/hit/conflict/refresh stall: {seen:?}"
+        );
     }
 }

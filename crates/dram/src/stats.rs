@@ -59,6 +59,26 @@ impl QueueStats {
         self.write_max_depth = self.write_max_depth.max(depth);
     }
 
+    /// Accounts for `n` submits of `op` into an empty queue, as `n` calls
+    /// to `on_submit_read`/`on_submit_write` at depths `1..=n` would.
+    pub(crate) fn on_submit_train(&mut self, op: DramOp, n: u64) {
+        let (submits, depth_sum, max_depth) = match op {
+            DramOp::Read => (
+                &mut self.read_submits,
+                &mut self.read_depth_sum,
+                &mut self.read_max_depth,
+            ),
+            DramOp::Write => (
+                &mut self.write_submits,
+                &mut self.write_depth_sum,
+                &mut self.write_max_depth,
+            ),
+        };
+        *submits += n;
+        *depth_sum += n * (n + 1) / 2;
+        *max_depth = (*max_depth).max(n);
+    }
+
     /// Mean read-queue depth seen by an arriving read (0 with no submits).
     pub fn mean_read_depth(&self) -> f64 {
         if self.read_submits == 0 {
@@ -135,6 +155,32 @@ impl DramStats {
         }
         self.per_class[class.index()].incr();
         self.latency.record_time_ns(done.saturating_sub(arrival));
+    }
+
+    /// Records `n` row-hit bursts on the data bus back to back, the first
+    /// done `t_bl` after `prev_done`, as `n` calls to `record` would: the
+    /// latency samples are still folded one by one, in order.
+    pub(crate) fn record_hit_train(
+        &mut self,
+        op: DramOp,
+        class: RequestClass,
+        arrival: Time,
+        prev_done: Time,
+        t_bl: Time,
+        n: u64,
+    ) {
+        match op {
+            DramOp::Read => self.reads.add(n),
+            DramOp::Write => self.writes.add(n),
+        }
+        self.row_hits.add(n);
+        self.per_class[class.index()].add(n);
+        self.bus_busy += t_bl * n;
+        let mut done = prev_done;
+        for _ in 0..n {
+            done += t_bl;
+            self.latency.record_time_ns(done.saturating_sub(arrival));
+        }
     }
 
     /// Folds another DRAM system's statistics into this one (multi-MC

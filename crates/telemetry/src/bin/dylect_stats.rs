@@ -18,12 +18,12 @@
 //! files as percentile (p50/p95/p99/p999) and component-total tables.
 //!
 //! `diff` compares two files of the same kind; numeric fields may differ by
-//! at most the configured tolerances (`--abs-tol`, `--rel-tol`, both
-//! defaulting to 0 = exact). Exit codes distinguish the failure modes so CI
-//! gates can react differently to drift vs. schema changes: 0 when
-//! identical within tolerance, 1 when a shared metric is out of tolerance,
-//! 2 on usage or I/O errors, 3 when the only differences are missing
-//! metrics/rows (present on one side only).
+//! at most the configured tolerances (`--abs-tol`, `--rel-tol`: finite and
+//! non-negative, both defaulting to 0 = exact). Exit codes distinguish the
+//! failure modes so CI gates can react differently to drift vs. schema
+//! changes: 0 when identical within tolerance, 1 when a shared metric is
+//! out of tolerance, 2 on usage or I/O errors, 3 when the only differences
+//! are missing metrics/rows (present on one side only).
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -629,8 +629,32 @@ fn bisect(path_a: &str, path_b: &str) -> Result<u8, String> {
     }
 }
 
-fn run() -> Result<u8, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses `diff`'s `--abs-tol X` / `--rel-tol Y` flags. A tolerance is a
+/// finite number `>= 0`: a negative one would fail identical values and a
+/// NaN every value.
+fn parse_tolerance(flags: &[String]) -> Result<Tolerance, String> {
+    let mut tol = Tolerance::default();
+    for pair in flags.chunks(2) {
+        let flag = pair[0].as_str();
+        let slot = match flag {
+            "--abs-tol" => &mut tol.abs,
+            "--rel-tol" => &mut tol.rel,
+            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+        };
+        let raw = pair.get(1).ok_or_else(|| format!("{flag} needs a value"))?;
+        *slot = match raw.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => v,
+            _ => {
+                return Err(format!(
+                    "{flag} {raw}: a tolerance must be a finite number >= 0\n{USAGE}"
+                ))
+            }
+        };
+    }
+    Ok(tol)
+}
+
+fn run(args: &[String]) -> Result<u8, String> {
     match args.first().map(String::as_str) {
         Some("dump") | Some("summary") if args.len() == 2 => {
             let parsed = load(&args[1])?;
@@ -643,21 +667,7 @@ fn run() -> Result<u8, String> {
         }
         Some("bisect") if args.len() == 3 => bisect(&args[1], &args[2]),
         Some("diff") if args.len() >= 3 => {
-            let mut tol = Tolerance::default();
-            let mut i = 3;
-            while i < args.len() {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{} needs a value", args[i]))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("{}: {e}", args[i]))?;
-                match args[i].as_str() {
-                    "--abs-tol" => tol.abs = value,
-                    "--rel-tol" => tol.rel = value,
-                    other => return Err(format!("unknown flag {other}\n{USAGE}")),
-                }
-                i += 2;
-            }
+            let tol = parse_tolerance(&args[3..])?;
             let a = load(&args[1])?;
             let b = load(&args[2])?;
             let diffs = diff(&a, &b, &tol);
@@ -685,7 +695,8 @@ fn run() -> Result<u8, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
         Ok(code) => ExitCode::from(code),
         Err(msg) => {
             eprintln!("{msg}");
@@ -699,6 +710,40 @@ mod tests {
     use super::*;
     use dylect_telemetry::diff::row_label;
     use dylect_telemetry::export::parse_flat_object;
+
+    /// `diff`'s tolerances are finite and non-negative; anything else is a
+    /// usage error (exit 2) naming the flag, raised before any file is read.
+    #[test]
+    fn diff_tolerances_are_strict() {
+        let ok = |abs, rel| Ok(Tolerance { abs, rel });
+        let cases: [(&[&str], Result<Tolerance, &str>); 12] = [
+            (&[], ok(0.0, 0.0)),
+            (&["--abs-tol", "0.5"], ok(0.5, 0.0)),
+            (&["--rel-tol", "1e-9", "--abs-tol", "0"], ok(0.0, 1e-9)),
+            (&["--abs-tol", "-0"], ok(0.0, 0.0)),
+            (&["--abs-tol", "-1"], Err("--abs-tol -1")),
+            (&["--rel-tol", "-0.01"], Err("--rel-tol -0.01")),
+            (&["--abs-tol", "NaN"], Err("--abs-tol NaN")),
+            (&["--rel-tol", "nan"], Err("--rel-tol nan")),
+            (&["--abs-tol", "inf"], Err("--abs-tol inf")),
+            (&["--rel-tol", "-infinity"], Err("--rel-tol -infinity")),
+            (&["--abs-tol", "x"], Err("--abs-tol x")),
+            (&["--abs-tol"], Err("--abs-tol needs a value")),
+        ];
+        for (flags, want) in cases {
+            let flags: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            match (parse_tolerance(&flags), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{flags:?}"),
+                (Err(msg), Err(named)) => {
+                    assert!(msg.starts_with(named), "{flags:?}: {msg}");
+                    let mut argv = vec!["diff".to_string(), "/nonexistent/a".into(), "b".into()];
+                    argv.extend(flags.iter().cloned());
+                    assert_eq!(run(&argv), Err(msg), "{flags:?}: rejected before loading");
+                }
+                (got, want) => panic!("{flags:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
 
     #[test]
     fn shadow_rows_render_and_label() {

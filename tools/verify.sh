@@ -90,7 +90,7 @@ cmp -s "$SMOKE/multimc-seq.tsv" "$SMOKE/multimc-par.tsv" \
     || { echo "runner-pool smoke: worker count changed results"; exit 1; }
 echo "runner-pool smoke: OK"
 
-echo "== figures smoke: each per-figure binary prints its allfigs section from the cache"
+echo "== figures smoke: allfigs is pinned; each per-figure binary prints its section from the cache"
 # allfigs fills a fresh cache. Each per-figure binary must then simulate
 # nothing and print a stdout that appears verbatim in allfigs' stdout.
 FIGS="$SMOKE/figs"
@@ -98,6 +98,12 @@ mkdir -p "$FIGS"
 DYLECT_CACHE_DIR="$FIGS/cache" DYLECT_PROGRESS_DIR="$FIGS/progress" \
     target/release/allfigs --quick > "$FIGS/allfigs.out" 2>/dev/null \
     || { echo "figures smoke: allfigs failed"; exit 1; }
+# The reproduction's stdout is pinned (the same bytes perf/ pins by FNV),
+# so a change that moves simulated behaviour fails here, not only when
+# the benchmark runs.
+echo "b48dfc22cdd1ced80965a8166c0b32c143288b5549918820a72ccca65631051a  $FIGS/allfigs.out" \
+    | sha256sum --check --quiet \
+    || { echo "figures smoke: allfigs --quick stdout moved from its pinned sha256"; exit 1; }
 ALLFIGS_OUT=$(cat "$FIGS/allfigs.out")
 for bin in fig03_hugepages fig04_tmcc_slowdown fig05_cte_sweep fig06_granularity \
     fig17_bandwidth fig18_speedup fig19_hitrate fig20_breakdown fig21_latency \
